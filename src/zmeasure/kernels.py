@@ -10,6 +10,14 @@ Index convention, fixed once: the positive point k + 1/2 corresponds to row or
 column k of the '++' block, the negative point -(k + 1/2) to index k of the
 '--' block.
 
+Single entries (:func:`psi`, :func:`rs`, :func:`pq`, :func:`hyper_kernel`)
+sum one Pfaff series per hypergeometric factor.  Whole blocks come from a
+:class:`FunctionTable`, whose hypergeometric columns are series seeds plus a
+backward recurrence in the lower parameter (:func:`gauss_2f1_columns`), so a
+table costs O(size) rather than O(size / (1 - xi)).  Both routes take
+sqrt(psi) as exp(log(psi) / 2) and never divide by it, so P and Q stay
+finite where psi underflows.
+
 Diagonal entries of the '++' and '--' blocks are defined by a removable
 singularity; the load-bearing route here is the convergent series coming from
 the product form of the block (K++ = CD, K-- = DC), with a derivative-based
@@ -18,18 +26,21 @@ route kept as an independent cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import special as _sp
 
 from .measures import AdmissibilityError, GrandParams, ZParams
 from .specfun import (
     ConvergenceError,
     DomainError,
     PoleError,
+    gauss_2f1_columns,
     gauss_2f1_w,
     gauss_2f1_w_dc,
     loggamma,
@@ -38,12 +49,14 @@ from .specfun import (
     meixner_polynomial,
     meixner_weight,
     realize,
+    realize_array,
     whittaker_w,
 )
 
 BLOCKS = ("++", "+-", "-+", "--")
 
 DECAY_CERTIFICATE_RATIO = 1e-16
+TABLE_MARGIN = 40  # table rows kept past the decay certificate
 WHITTAKER_DIAGONAL_TOL = 1e-6
 
 
@@ -77,23 +90,13 @@ def _check_pole_args(*values: complex) -> None:
 
 
 @lru_cache(maxsize=200_000)
-def _psi_cached(sign: int, u: float, gp: GrandParams) -> float:
+def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
+    """log psi(sign, u) from principal log-gamma values; the imaginary part carries the sign."""
     zp = gp.zp
     z, z_prime, xi = zp.z, zp.z_prime, gp.xi
     s = sign
-    if zp.meixner_mode and s < 0:
-        # (1 - z')_k hits zero at integer z'; use the finite product, which is
-        # the continuous extension (identically zero beyond k = z').
-        if u < 0 or u != int(u):
-            raise DomainError("meixner-mode psi(-) is defined on nonnegative integers only")
-        k = int(u)
-        prod = complex(1.0)
-        for j in range(k):
-            prod *= (1 - z + j) * (1 - z_prime + j) / ((j + 1) * (j + 1))
-        scale = math.sqrt(zp.t) * xi ** (k + 0.5) * (1.0 - xi) ** (-zp.z_sum)
-        return realize(scale * prod)
     _check_pole_args(u + 1 + s * z, u + 1 + s * z_prime, u + 1)
-    log_psi = (
+    return (
         0.5 * math.log(zp.t)
         + (u + 0.5) * math.log(xi)
         + s * zp.z_sum * math.log1p(-xi)
@@ -103,7 +106,20 @@ def _psi_cached(sign: int, u: float, gp: GrandParams) -> float:
         - loggamma(1 + s * z_prime)
         - 2.0 * loggamma(u + 1.0)
     )
-    return realize(np.exp(log_psi))
+
+
+def _meixner_psi_minus(u: float, gp: GrandParams) -> float:
+    # (1 - z')_k hits zero at integer z'; use the finite product, which is
+    # the continuous extension (identically zero beyond k = z').
+    zp = gp.zp
+    if u < 0 or u != int(u):
+        raise DomainError("meixner-mode psi(-) is defined on nonnegative integers only")
+    k = int(u)
+    prod = complex(1.0)
+    for j in range(k):
+        prod *= (1 - zp.z + j) * (1 - zp.z_prime + j) / ((j + 1) * (j + 1))
+    scale = math.sqrt(zp.t) * gp.xi ** (k + 0.5) * (1.0 - gp.xi) ** (-zp.z_sum)
+    return realize(scale * prod)
 
 
 def psi(sign, u: float, gp: GrandParams) -> float:
@@ -111,22 +127,20 @@ def psi(sign, u: float, gp: GrandParams) -> float:
 
     Strictly positive at u >= 0 for admissible parameters; meromorphic in u.
     """
-    return _psi_cached(_sign(sign), float(u), gp)
+    s = _sign(sign)
+    if gp.zp.meixner_mode and s < 0:
+        return _meixner_psi_minus(float(u), gp)
+    return realize(np.exp(_log_psi_cached(s, float(u), gp)))
 
 
 @lru_cache(maxsize=200_000)
-def _rs_cached(sign: int, u: float, gp: GrandParams) -> tuple[float, float]:
+def _hg_cached(sign: int, u: float, gp: GrandParams) -> tuple[float, float]:
+    """The hypergeometric factors (H, G): (R, S) = psi (H, G) and (P, Q) = sqrt(psi) (H, G)."""
     zp = gp.zp
     xi = gp.xi
-    s = sign
-    p = psi(s, u, gp)
-    if p == 0.0:
-        return 0.0, 0.0
-    f1 = gauss_2f1_w(-s * zp.z, -s * zp.z_prime, u + 1.0, xi)
-    f2 = gauss_2f1_w(1 - s * zp.z, 1 - s * zp.z_prime, u + 2.0, xi)
-    r = p * realize(f1)
-    s_val = math.sqrt(zp.t * xi) * p / (1.0 - xi) * realize(f2) / (u + 1.0)
-    return r, s_val
+    h = realize(gauss_2f1_w(-sign * zp.z, -sign * zp.z_prime, u + 1.0, xi))
+    f2 = realize(gauss_2f1_w(1 - sign * zp.z, 1 - sign * zp.z_prime, u + 2.0, xi))
+    return h, math.sqrt(zp.t * xi) / (1.0 - xi) * f2 / (u + 1.0)
 
 
 def rs(sign, u: float, gp: GrandParams) -> tuple[float, float]:
@@ -134,20 +148,36 @@ def rs(sign, u: float, gp: GrandParams) -> tuple[float, float]:
 
     Both decay exponentially as u grows, at the geometric rate xi.
     """
-    return _rs_cached(_sign(sign), float(u), gp)
+    s = _sign(sign)
+    p = psi(s, u, gp)
+    if p == 0.0:
+        return 0.0, 0.0
+    h, g = _hg_cached(s, float(u), gp)
+    return p * h, p * g
 
 
 def pq(sign, u: float, gp: GrandParams) -> tuple[float, float]:
-    """Normalized pair (P, Q) = (R, S) / sqrt(psi); needs psi > 0."""
+    """Normalized pair (P, Q) = (R, S) / sqrt(psi) = sqrt(psi) (H, G); needs psi > 0.
+
+    sqrt(psi) is exp(log(psi) / 2), so P and Q stay finite and nonzero where
+    psi itself underflows.
+    """
     s = _sign(sign)
-    p = psi(s, u, gp)
-    if p <= 0.0:
-        raise DomainError(f"psi({'+' if s > 0 else '-'}, {u}) = {p} is not positive")
-    r, s_val = rs(s, u, gp)
-    root = math.sqrt(p)
-    return r / root, s_val / root
+    u = float(u)
+    if gp.zp.meixner_mode and s < 0:
+        p = psi(s, u, gp)
+        positive, log_psi = p > 0.0, math.log(p) if p > 0.0 else -math.inf
+    else:
+        lp = _log_psi_cached(s, u, gp)
+        positive, log_psi = realize(cmath.exp(1j * lp.imag)) > 0.0, lp.real
+    if not positive:
+        raise DomainError(f"psi({'+' if s > 0 else '-'}, {u}) is not positive")
+    root = math.exp(0.5 * log_psi)
+    h, g = _hg_cached(s, u, gp)
+    return root * h, root * g
 
 
+@lru_cache(maxsize=256)
 def decay_certificate(gp: GrandParams, ratio: float = DECAY_CERTIFICATE_RATIO,
                       cap: int = 200_000) -> int:
     """Smallest index m with psi(+,m) and psi(-,m) below ratio * psi(.,0).
@@ -187,31 +217,65 @@ class FunctionTable:
 
     @classmethod
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
-        if gp.zp.meixner_mode:
+        """Tabulate both signs at k = 0..max(size, decay index + TABLE_MARGIN) - 1.
+
+        log psi comes from one vectorised log-gamma call per sign and the
+        hypergeometric factors from :func:`gauss_2f1_columns`.  P and Q are
+        sqrt(psi) = exp(log(psi) / 2) times those factors, and R, S are
+        sqrt(psi) times P, Q: nothing divides by sqrt(psi), so psi may
+        underflow to 0 while P and Q stay accurate.
+        """
+        zp = gp.zp
+        if zp.meixner_mode:
             raise AdmissibilityError("function tables need admissible (non-degenerate) parameters")
-        cert = decay_certificate(gp)
-        n = max(size or 0, cert + 40)
+        n = _table_rows(gp, size)
+        xi = gp.xi
+        k = np.arange(n, dtype=np.float64)
+        g_scale = math.sqrt(zp.t * xi) / (1.0 - xi) / (k + 1.0)
         cols = {}
         for label, s in (("plus", 1), ("minus", -1)):
-            psi_arr = np.array([psi(s, k, gp) for k in range(n)])
-            if not (psi_arr > 0.0).all() or not np.isfinite(psi_arr).all():
-                raise ArithmeticError("psi table must be positive and finite")
-            r_arr = np.empty(n)
-            s_arr = np.empty(n)
-            for k in range(n):
-                r_arr[k], s_arr[k] = rs(s, k, gp)
-            if not (np.isfinite(r_arr).all() and np.isfinite(s_arr).all()):
-                raise ArithmeticError("R/S table must be finite")
-            root = np.sqrt(psi_arr)
-            cols[label] = (psi_arr, r_arr, s_arr, r_arr / root, s_arr / root)
+            lg = _sp.loggamma(np.array([k + 1 + s * zp.z, k + 1 + s * zp.z_prime, k + 1.0 + 0j]))
+            log_psi = (
+                0.5 * math.log(zp.t)
+                + (k + 0.5) * math.log(xi)
+                + s * zp.z_sum * math.log1p(-xi)
+                + lg[0]
+                + lg[1]
+                - loggamma(1 + s * zp.z)
+                - loggamma(1 + s * zp.z_prime)
+                - 2.0 * lg[2]
+            )
+            phase = realize_array(np.exp(1j * log_psi.imag))
+            root = np.exp(0.5 * log_psi.real)
+            if not ((phase > 0.0).all() and (root > 0.0).all() and np.isfinite(root).all()):
+                raise ArithmeticError("sqrt(psi) table must be positive and finite")
+            h, f2 = gauss_2f1_columns(-s * zp.z, -s * zp.z_prime, 1.0, xi, n)
+            p = root * realize_array(h)
+            q = root * g_scale * realize_array(f2)
+            if not (np.isfinite(p).all() and np.isfinite(q).all()):
+                raise ArithmeticError("P/Q table must be finite")
+            cols[label] = (root * root, p * root, q * root, p, q)
         pp, rp, sp, pp_n, qp_n = cols["plus"]
         pm, rm, sm, pm_n, qm_n = cols["minus"]
-        return cls(gp, n, pp, pm, rp, rm, sp, sm, pp_n, pm_n, qp_n, qm_n, cert)
+        return cls(gp, n, pp, pm, rp, rm, sp, sm, pp_n, pm_n, qp_n, qm_n, decay_certificate(gp))
+
+
+def _table_rows(gp: GrandParams, size: int | None) -> int:
+    return max(size or 0, decay_certificate(gp) + TABLE_MARGIN)
 
 
 @lru_cache(maxsize=16)
+def _cached_table(gp: GrandParams, rows: int) -> FunctionTable:
+    return FunctionTable.build(gp, rows)
+
+
 def function_table(gp: GrandParams, size: int | None = None) -> FunctionTable:
-    return FunctionTable.build(gp, size)
+    """The cached table with at least ``size`` rows and TABLE_MARGIN rows past the decay index.
+
+    The cache key is the row count actually built, so every request that
+    needs no more than the default rows shares one table.
+    """
+    return _cached_table(gp, _table_rows(gp, size))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +326,17 @@ def d_matrix(gp: GrandParams, trunc: int, cols: int | None = None) -> np.ndarray
 # The hypergeometric kernel
 
 
+def _diag_sums(sign: int, ks: np.ndarray, tbl: FunctionTable) -> np.ndarray:
+    """Rows [sum_j R_(-s)(j) / (k+j+1)^2, sum_j S_(-s)(j) / (k+j+1)^2] for k in ``ks``."""
+    other = (
+        np.column_stack((tbl.r_minus, tbl.s_minus))
+        if sign > 0
+        else np.column_stack((tbl.r_plus, tbl.s_plus))
+    )
+    j = np.arange(tbl.size)
+    return (1.0 / (ks[:, None] + j[None, :] + 1.0) ** 2) @ other
+
+
 def _diag_series(sign: int, k: int, gp: GrandParams) -> float:
     """Diagonal entry of the '++' or '--' block by the convergent product series.
 
@@ -277,12 +352,8 @@ def _diag_series(sign: int, k: int, gp: GrandParams) -> float:
             rj, sj = rs(-sign, j, gp)
             total += (rk * rj + sk * sj) / (k + j + 1.0) ** 2
         return total
-    tbl = function_table(gp)
-    j = np.arange(tbl.size)
-    weights = 1.0 / (k + j + 1.0) ** 2
-    r_other = tbl.r_minus if sign > 0 else tbl.r_plus
-    s_other = tbl.s_minus if sign > 0 else tbl.s_plus
-    return float(rk * np.dot(weights, r_other) + sk * np.dot(weights, s_other))
+    r_sum, s_sum = _diag_sums(sign, np.array([k]), function_table(gp))[0]
+    return float(rk * r_sum + sk * s_sum)
 
 
 def hyper_kernel_diag_derivative(sign, k: int, gp: GrandParams) -> float:
@@ -384,14 +455,17 @@ def kernel_block_matrix(gp: GrandParams, block: str, trunc: int) -> KernelBlock:
     tbl = function_table(gp, trunc)
     k = np.arange(trunc)
     if block in ("++", "--"):
-        p = tbl.p_plus[:trunc] if block == "++" else tbl.p_minus[:trunc]
-        q = tbl.q_plus[:trunc] if block == "++" else tbl.q_minus[:trunc]
+        sign = 1 if block == "++" else -1
+        if sign > 0:
+            p, q, r, s = tbl.p_plus, tbl.q_plus, tbl.r_plus, tbl.s_plus
+        else:
+            p, q, r, s = tbl.p_minus, tbl.q_minus, tbl.r_minus, tbl.s_minus
+        p, q = p[:trunc], q[:trunc]
         diff = k[:, None] - k[None, :]
         np.fill_diagonal(diff, 1)  # placeholder, diagonal replaced below
         entries = (np.outer(p, q) - np.outer(q, p)) / diff
-        sign = 1 if block == "++" else -1
-        for i in range(trunc):
-            entries[i, i] = _diag_series(sign, i, gp)
+        sums = _diag_sums(sign, k, tbl)
+        np.fill_diagonal(entries, r[:trunc] * sums[:, 0] + s[:trunc] * sums[:, 1])
         return KernelBlock(block, trunc, gp, entries)
     denom = k[:, None] + k[None, :] + 1.0
     if block == "+-":

@@ -8,7 +8,10 @@ approaches 1, every evaluation is routed through the Pfaff transform
 
 whose argument w/(w - 1) equals xi, so the transformed series converges at
 geometric rate xi for every parameter set used here.  Sums are chunked, and
-the stopping rule carries a certified geometric tail bound.
+the stopping rule carries a certified geometric tail bound.  Single points use
+this series.  A whole column F(a, b; c0 + k; w), k = 0..n-1, comes from a
+backward recurrence in c seeded by series values (:func:`gauss_2f1_columns`),
+so it costs O(n) instead of O(n / (1 - xi)).
 
 Also provided: Pochhammer symbols, Meixner polynomials with their weight and
 norm constants, and the Whittaker W function (backed by mpmath under raised
@@ -51,6 +54,16 @@ def realize(value: complex, tol: float = REALIZE_TOL) -> float:
     if abs(v.imag) > tol * (1.0 + abs(v.real)):
         raise RealizationError(f"imaginary part {v.imag} too large for {v}")
     return v.real
+
+
+def realize_array(values: np.ndarray, tol: float = REALIZE_TOL) -> np.ndarray:
+    """Entrywise :func:`realize`: the real parts, if no imaginary part is too large."""
+    values = np.asarray(values, dtype=complex)
+    bad = np.flatnonzero(np.abs(values.imag) > tol * (1.0 + np.abs(values.real)))
+    if bad.size:
+        v = values[bad[0]]
+        raise RealizationError(f"imaginary part {v.imag} too large for {v} at index {bad[0]}")
+    return values.real.copy()
 
 
 def pochhammer(a: complex, k: int) -> complex:
@@ -222,6 +235,65 @@ def gauss_2f1_w(
     a, b, n_exact = _termination_order(complex(a), complex(b), complex(c))
     s = _hyp_series(a, complex(c) - b, complex(c), xi, tol, max_terms, n_exact=n_exact)
     return cmath.exp(a * math.log1p(-xi)) * s
+
+
+def _reseed_stride(xi: float) -> int:
+    """Indices between series re-seeds in :func:`gauss_2f1_columns`.
+
+    Each backward step adds about one rounding error, which the first-order
+    form does not amplify, so the error grows at most linearly along a run.
+    At stride ~ 1/(1 - xi) the two seeds (series of ~ 1/(1 - xi) terms each)
+    cost O(1) per index.
+    """
+    return max(16, math.ceil(1.0 / (1.0 - xi)))
+
+
+def gauss_2f1_columns(
+    a: complex, b: complex, c0: float, xi: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns F(a, b; c; w) and F(a+1, b+1; c+1; w) at c = c0 + k, k = 0..n-1.
+
+    Here w = xi/(xi - 1) < 0, so Re w < 1/2 and F is the minimal solution of
+    Gauss's contiguous relation in c (DLMF 15.5.18); running it downward is
+    stable (Gil, Segura & Temme, Numerical Methods for Special Functions,
+    ch. 4).  The three-term relation is run as the equivalent first-order pair
+
+        F(a, b; c) = F(a, b; c+1) + ab w / (c (c+1)) F(a+1, b+1; c+2),
+        F(a+1, b+1; c+1) = (1 - xi) F(a, b; c) + xi (c-a)(c-b) / (c (c+1)) F(a+1, b+1; c+2),
+
+    which carries the difference F(c) - F(c+1) explicitly: as xi -> 1 the two
+    solutions of the three-term form grow at nearly the same rate, and there
+    a rounding error would be amplified by 1/(1 - xi).  Every
+    ``_reseed_stride(xi)`` indices the run restarts from two fresh
+    :func:`gauss_2f1_w` values.  ``c0`` must be positive.
+    """
+    if not 0.0 < xi < 1.0:
+        raise DomainError(f"xi must lie in (0, 1), got {xi}")
+    if c0 <= 0.0:
+        raise DomainError(f"the lowest lower parameter must be positive, got {c0}")
+    a, b = complex(a), complex(b)
+    c = c0 + np.arange(n, dtype=np.float64)
+    cc = c * (c + 1.0)
+    step_f = (a * b * xi_to_w(xi) / cc).tolist()
+    step_g = (xi * (c - a) * (c - b) / cc).tolist()
+    one_minus_xi = 1.0 - xi
+    f = np.empty(n, dtype=complex)
+    g = np.empty(n, dtype=complex)
+    stride = _reseed_stride(xi)
+    for top in range(n - 1, -1, -stride):
+        fk = gauss_2f1_w(a, b, c0 + top, xi)
+        gk = gauss_2f1_w(a + 1.0, b + 1.0, c0 + top + 1.0, xi)
+        run_f = [fk]
+        run_g = [gk]
+        for k in range(top - 1, max(top - stride, -1), -1):
+            fk = fk + step_f[k] * gk
+            gk = one_minus_xi * fk + step_g[k] * gk
+            run_f.append(fk)
+            run_g.append(gk)
+        bottom = top - len(run_f) + 1
+        f[bottom : top + 1] = run_f[::-1]
+        g[bottom : top + 1] = run_g[::-1]
+    return f, g
 
 
 def gauss_2f1_w_dc(

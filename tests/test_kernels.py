@@ -27,9 +27,15 @@ from zmeasure.kernels import (
     whittaker_q,
 )
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams
-from zmeasure.specfun import DomainError, PoleError, gauss_2f1_w, realize
+from zmeasure.specfun import DomainError, PoleError, _reseed_stride, gauss_2f1_w, realize
 
 HALF = Fraction(1, 2)
+
+TABLE_FAMILIES = {
+    "real": ZParams(0.5, 1.0 / 3.0),
+    "negative": ZParams(-0.4, -0.7),
+    "conjugate": ZParams(0.7 + 2.0j, 0.7 - 2.0j),
+}
 
 
 def point(sign: int, k: int) -> Fraction:
@@ -150,6 +156,50 @@ class TestDecayCertificate:
         assert (tbl.psi_plus > 0).all() and (tbl.psi_minus > 0).all()
         for arr in (tbl.r_plus, tbl.r_minus, tbl.s_plus, tbl.s_minus):
             assert np.isfinite(arr).all()
+
+
+class TestFunctionTable:
+    @pytest.mark.parametrize("xi", [0.2, 0.9, 0.99])
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_table_matches_point_route(self, family, xi):
+        gp = GrandParams(TABLE_FAMILIES[family], xi)
+        tbl = function_table(gp)
+        n, stride = tbl.size, _reseed_stride(xi)
+        # Both sides of every re-seed seam: each run's seed row and its last row.
+        rows = {i for top in range(n - 1, -1, -stride) for i in (top, top - stride + 1)}
+        rows |= {0, 1, n - 2, n - 1}
+        rows |= set(np.random.default_rng(2).integers(0, n, 8).tolist())
+        for k in sorted(i for i in rows if i >= 0):
+            for sign, p_tab, q_tab in ((1, tbl.p_plus, tbl.q_plus), (-1, tbl.p_minus, tbl.q_minus)):
+                p_val, q_val = pq(sign, k, gp)
+                scale = abs(p_val) + abs(q_val)
+                assert abs(p_tab[k] - p_val) <= 1e-12 * scale, (sign, k)
+                assert abs(q_tab[k] - q_val) <= 1e-12 * scale, (sign, k)
+
+    def test_build_near_one(self, real_pair):
+        tbl = function_table(GrandParams(real_pair, 0.99))
+        assert tbl.size >= 4425
+        for arr in (tbl.psi_plus, tbl.psi_minus, tbl.r_plus, tbl.r_minus, tbl.s_plus,
+                    tbl.s_minus, tbl.p_plus, tbl.p_minus, tbl.q_plus, tbl.q_minus):
+            assert np.isfinite(arr).all()
+
+    def test_one_table_per_parameter_set(self, gp03):
+        assert function_table(gp03, 12) is function_table(gp03)
+
+    def test_block_where_psi_underflows(self, gp02):
+        # psi(+, k) underflows to 0 from k ~ 460 on; P and Q must not.
+        block = kernel_block_matrix(gp02, "++", 600).entries
+        assert np.isfinite(block).all()
+        diag = np.diag(block)
+        assert diag.min() >= 0.0 and diag.max() <= 1.0
+        small = kernel_block_matrix(gp02, "++", 12).entries
+        assert np.allclose(block[:12, :12], small, rtol=1e-12, atol=1e-16)
+
+    def test_point_where_psi_underflows(self, gp02):
+        assert psi("+", 500, gp02) == 0.0
+        p_val, q_val = pq("+", 500, gp02)
+        assert 0.0 < p_val < 1e-150 and 0.0 < abs(q_val) < 1e-150
+        assert math.isfinite(hyper_kernel(Fraction(1001, 2), Fraction(1003, 2), gp02))
 
 
 class TestHyperKernel:

@@ -10,6 +10,8 @@ from zmeasure.specfun import (
     DomainError,
     PoleError,
     RealizationError,
+    _reseed_stride,
+    gauss_2f1_columns,
     gauss_2f1_direct,
     gauss_2f1_w,
     gauss_2f1_w_dc,
@@ -20,6 +22,7 @@ from zmeasure.specfun import (
     meixner_weight,
     pochhammer,
     realize,
+    realize_array,
     whittaker_w,
     xi_to_w,
 )
@@ -32,6 +35,11 @@ class TestRealize:
     def test_rejects_large_imag(self):
         with pytest.raises(RealizationError):
             realize(1.0 + 1e-3j)
+
+    def test_array_form(self):
+        assert realize_array(np.array([2.0 + 1e-12j, -1.0])).tolist() == [2.0, -1.0]
+        with pytest.raises(RealizationError, match="at index 1"):
+            realize_array(np.array([2.0, 1.0 + 1e-3j]))
 
 
 class TestPochhammer:
@@ -130,6 +138,30 @@ class TestGauss2F1:
     def test_direct_series_domain(self):
         with pytest.raises(DomainError):
             gauss_2f1_direct(0.5, 0.7, 1.0, -1.5)
+
+
+class TestGauss2F1Columns:
+    @pytest.mark.parametrize("xi", [0.45, 0.97])
+    @pytest.mark.parametrize(
+        "a, b, c0", [(-0.5, -1.0 / 3.0, 1.0), (0.8 - 1.5j, 0.8 + 1.5j, 2.3)]
+    )
+    def test_against_per_index_series(self, a, b, c0, xi):
+        n = 3 * _reseed_stride(xi) + 5  # several re-seeded runs, the lowest one short
+        f, g = gauss_2f1_columns(a, b, c0, xi, n)
+        for k in range(n):
+            ref_f = gauss_2f1_w(a, b, c0 + k, xi)
+            ref_g = gauss_2f1_w(a + 1.0, b + 1.0, c0 + k + 1.0, xi)
+            # Relative to the pair: near a zero of one column the series itself
+            # is only accurate in this absolute sense.
+            scale = abs(ref_f) + abs(ref_g)
+            assert abs(f[k] - ref_f) <= 1e-13 * scale
+            assert abs(g[k] - ref_g) <= 1e-13 * scale
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gauss_2f1_columns(0.5, 0.7, 0.0, 0.2, 10)
+        with pytest.raises(DomainError):
+            gauss_2f1_columns(0.5, 0.7, 1.0, 1.0, 10)
 
 
 class TestGauss2F1Derivative:
