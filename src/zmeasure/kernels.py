@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .measures import AdmissibilityError, GrandParams, ZParams
 from .specfun import (
@@ -89,13 +88,14 @@ def _check_pole_args(*values: complex) -> None:
                 raise PoleError(f"gamma argument {v.real} is a nonpositive integer")
 
 
-@lru_cache(maxsize=200_000)
-def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
-    """log psi(sign, u) from principal log-gamma values; the imaginary part carries the sign."""
+def _log_psi(sign: int, u, gp: GrandParams):
+    """log psi(sign, u) from principal log-gamma values, at a float u or entrywise over an array.
+
+    The imaginary part carries the sign of psi.
+    """
     zp = gp.zp
     z, z_prime, xi = zp.z, zp.z_prime, gp.xi
     s = sign
-    _check_pole_args(u + 1 + s * z, u + 1 + s * z_prime, u + 1)
     return (
         0.5 * math.log(zp.t)
         + (u + 0.5) * math.log(xi)
@@ -106,6 +106,12 @@ def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
         - loggamma(1 + s * z_prime)
         - 2.0 * loggamma(u + 1.0)
     )
+
+
+@lru_cache(maxsize=200_000)
+def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
+    _check_pole_args(u + 1 + sign * gp.zp.z, u + 1 + sign * gp.zp.z_prime, u + 1)
+    return _log_psi(sign, u, gp)
 
 
 def _meixner_psi_minus(u: float, gp: GrandParams) -> float:
@@ -166,13 +172,14 @@ def pq(sign, u: float, gp: GrandParams) -> tuple[float, float]:
     u = float(u)
     if gp.zp.meixner_mode and s < 0:
         p = psi(s, u, gp)
-        positive, log_psi = p > 0.0, math.log(p) if p > 0.0 else -math.inf
+        if p <= 0.0:
+            raise DomainError(f"psi(-, {u}) is not positive")
+        root = math.sqrt(p)
     else:
         lp = _log_psi_cached(s, u, gp)
-        positive, log_psi = realize(cmath.exp(1j * lp.imag)) > 0.0, lp.real
-    if not positive:
-        raise DomainError(f"psi({'+' if s > 0 else '-'}, {u}) is not positive")
-    root = math.exp(0.5 * log_psi)
+        if realize(cmath.exp(1j * lp.imag)) <= 0.0:
+            raise DomainError(f"psi({'+' if s > 0 else '-'}, {u}) is not positive")
+        root = math.exp(0.5 * lp.real)
     h, g = _hg_cached(s, u, gp)
     return root * h, root * g
 
@@ -219,11 +226,12 @@ class FunctionTable:
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
         """Tabulate both signs at k = 0..max(size, decay index + TABLE_MARGIN) - 1.
 
-        log psi comes from one vectorised log-gamma call per sign and the
-        hypergeometric factors from :func:`gauss_2f1_columns`.  P and Q are
-        sqrt(psi) = exp(log(psi) / 2) times those factors, and R, S are
-        sqrt(psi) times P, Q: nothing divides by sqrt(psi), so psi may
-        underflow to 0 while P and Q stay accurate.
+        log psi comes from :func:`_log_psi` over the whole index array, the
+        formula the point route uses, and the hypergeometric factors from
+        :func:`gauss_2f1_columns`.  P and Q are sqrt(psi) = exp(log(psi) / 2)
+        times those factors, and R, S are sqrt(psi) times P, Q: nothing
+        divides by sqrt(psi), so psi may underflow to 0 while P and Q stay
+        accurate.
         """
         zp = gp.zp
         if zp.meixner_mode:
@@ -234,17 +242,7 @@ class FunctionTable:
         g_scale = math.sqrt(zp.t * xi) / (1.0 - xi) / (k + 1.0)
         cols = {}
         for label, s in (("plus", 1), ("minus", -1)):
-            lg = _sp.loggamma(np.array([k + 1 + s * zp.z, k + 1 + s * zp.z_prime, k + 1.0 + 0j]))
-            log_psi = (
-                0.5 * math.log(zp.t)
-                + (k + 0.5) * math.log(xi)
-                + s * zp.z_sum * math.log1p(-xi)
-                + lg[0]
-                + lg[1]
-                - loggamma(1 + s * zp.z)
-                - loggamma(1 + s * zp.z_prime)
-                - 2.0 * lg[2]
-            )
+            log_psi = _log_psi(s, k, gp)
             phase = realize_array(np.exp(1j * log_psi.imag))
             root = np.exp(0.5 * log_psi.real)
             if not ((phase > 0.0).all() and (root > 0.0).all() and np.isfinite(root).all()):
@@ -326,15 +324,26 @@ def d_matrix(gp: GrandParams, trunc: int, cols: int | None = None) -> np.ndarray
 # The hypergeometric kernel
 
 
+DIAG_CHUNK = 256  # rows of ks per weight matrix in _diag_sums
+
+
 def _diag_sums(sign: int, ks: np.ndarray, tbl: FunctionTable) -> np.ndarray:
-    """Rows [sum_j R_(-s)(j) / (k+j+1)^2, sum_j S_(-s)(j) / (k+j+1)^2] for k in ``ks``."""
+    """Rows [sum_j R_(-s)(j) / (k+j+1)^2, sum_j S_(-s)(j) / (k+j+1)^2] for k in ``ks``.
+
+    The weights are formed DIAG_CHUNK rows at a time, so memory stays
+    O(DIAG_CHUNK * table size) however many indices are asked for.
+    """
     other = (
         np.column_stack((tbl.r_minus, tbl.s_minus))
         if sign > 0
         else np.column_stack((tbl.r_plus, tbl.s_plus))
     )
     j = np.arange(tbl.size)
-    return (1.0 / (ks[:, None] + j[None, :] + 1.0) ** 2) @ other
+    out = np.empty((len(ks), 2))
+    for start in range(0, len(ks), DIAG_CHUNK):
+        chunk = ks[start:start + DIAG_CHUNK]
+        out[start:start + DIAG_CHUNK] = (1.0 / (chunk[:, None] + j[None, :] + 1.0) ** 2) @ other
+    return out
 
 
 def _diag_series(sign: int, k: int, gp: GrandParams) -> float:

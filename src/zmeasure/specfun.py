@@ -56,10 +56,10 @@ def realize(value: complex, tol: float = REALIZE_TOL) -> float:
     return v.real
 
 
-def realize_array(values: np.ndarray, tol: float = REALIZE_TOL) -> np.ndarray:
+def realize_array(values: np.ndarray) -> np.ndarray:
     """Entrywise :func:`realize`: the real parts, if no imaginary part is too large."""
     values = np.asarray(values, dtype=complex)
-    bad = np.flatnonzero(np.abs(values.imag) > tol * (1.0 + np.abs(values.real)))
+    bad = np.flatnonzero(np.abs(values.imag) > REALIZE_TOL * (1.0 + np.abs(values.real)))
     if bad.size:
         v = values[bad[0]]
         raise RealizationError(f"imaginary part {v.imag} too large for {v} at index {bad[0]}")
@@ -85,7 +85,10 @@ def log_pochhammer(a: complex, k: int) -> complex:
     return complex(_sp.loggamma(complex(a) + k) - _sp.loggamma(complex(a)))
 
 
-def loggamma(z: complex) -> complex:
+def loggamma(z):
+    """Principal log Gamma of a complex scalar, or entrywise of an array."""
+    if np.ndim(z):
+        return _sp.loggamma(np.asarray(z, dtype=complex))
     return complex(_sp.loggamma(complex(z)))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zmeasure.kernels import (
+    DIAG_CHUNK,
     FunctionTable,
     _diag_series,
     decay_certificate,
@@ -194,6 +195,15 @@ class TestFunctionTable:
         assert diag.min() >= 0.0 and diag.max() <= 1.0
         small = kernel_block_matrix(gp02, "++", 12).entries
         assert np.allclose(block[:12, :12], small, rtol=1e-12, atol=1e-16)
+
+    def test_block_diagonal_across_chunk_boundary(self, real_pair):
+        gp = GrandParams(real_pair, 0.9)
+        trunc = DIAG_CHUNK + 8
+        assert function_table(gp).size >= trunc  # the block and the series share one table
+        diag = np.diag(kernel_block_matrix(gp, "++", trunc).entries)
+        for k in (0, DIAG_CHUNK - 2, DIAG_CHUNK - 1, DIAG_CHUNK, DIAG_CHUNK + 1, trunc - 1):
+            ref = _diag_series(1, k, gp)
+            assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
 
     def test_point_where_psi_underflows(self, gp02):
         assert psi("+", 500, gp02) == 0.0

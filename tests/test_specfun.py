@@ -15,6 +15,7 @@ from zmeasure.specfun import (
     gauss_2f1_direct,
     gauss_2f1_w,
     gauss_2f1_w_dc,
+    loggamma,
     log_pochhammer,
     meixner_leading_coefficient,
     meixner_norm,
@@ -40,6 +41,14 @@ class TestRealize:
         assert realize_array(np.array([2.0 + 1e-12j, -1.0])).tolist() == [2.0, -1.0]
         with pytest.raises(RealizationError, match="at index 1"):
             realize_array(np.array([2.0, 1.0 + 1e-3j]))
+
+
+class TestLoggamma:
+    def test_array_form_matches_scalar(self):
+        z = np.array([0.5, 3.0 + 2.0j, 40.0 - 7.5j])
+        out = loggamma(z)
+        assert out.dtype == complex
+        assert [complex(v) for v in out] == [loggamma(v) for v in z]
 
 
 class TestPochhammer:
