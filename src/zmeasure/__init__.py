@@ -47,7 +47,6 @@ from .partitions import (
     YoungDiagram,
     dimension,
     enumerate_partitions,
-    frobenius_coordinates,
     from_configuration,
     partition_count,
     to_configuration,

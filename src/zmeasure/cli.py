@@ -167,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw diagrams from the grand ensemble",
         description="Seeded exact sampling: the diagram size is drawn from the "
         "negative-binomial weight (1-xi)^t (t)_n/n! xi^n, then the diagram from the "
-        "n-box measure by inverse CDF over the enumeration. Emits JSON lines: one "
-        "metadata row, then one row per draw.",
+        "n-box measure by inverse CDF over the enumeration. All draws come from one "
+        "NumPy PCG64 stream spawned from the seed, so the same seed and parameters "
+        "give the same draws. Emits JSON lines: one metadata row, then one row per draw.",
     )
     _add_param_options(p_sample)
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--count", type=int, required=True)
-    p_sample.add_argument("--workers", type=int, default=1)
+    p_sample.add_argument("--seed", type=int, required=True, help="seed of the random stream")
+    p_sample.add_argument("--count", type=int, required=True, help="number of draws")
     p_sample.add_argument("--n-cap", type=int, default=30,
                           help="largest size sampled exactly; default 30")
     p_sample.add_argument("--out", help="output file (JSON lines); default stdout")
@@ -253,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     gp = GrandParams(_zparams(args), args.xi)
-    batch = sample_batch(gp, args.count, args.seed, args.workers, args.n_cap)
+    batch = sample_batch(gp, args.count, args.seed, n_cap=args.n_cap)
     lines = [json.dumps(batch.meta())]
     for i, lam in enumerate(batch.draws):
         lines.append(json.dumps({"draw": i, "n": lam.n, "parts": lam.to_json()}))

@@ -3,9 +3,9 @@
 A draw is produced in two exact inverse-CDF steps: the diagram size from the
 negative-binomial mixing weight (whose CDF is extended lazily, so no
 truncation error enters), then the diagram itself from the enumerated n-box
-measure with a cached CDF per size.  Draws are reproducible: the same seed,
-parameters and worker count give bit-identical batches, with worker streams
-split off a single seed sequence and merged in worker order.
+measure with a cached CDF per size.  Draws are reproducible: the same seed
+and parameters give bit-identical batches, drawn from one stream spawned off
+the seed's SeedSequence.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class SampleBatch:
     seed: int
     gp: GrandParams
     draws: tuple[YoungDiagram, ...]
-    workers: int = 1
     algorithm: str = RNG_ALGORITHM
 
     @property
@@ -87,7 +86,6 @@ class SampleBatch:
             "schema": "zmeasure.sample/1",
             "seed": self.seed,
             "algorithm": self.algorithm,
-            "workers": self.workers,
             "count": self.count,
             "z": [zp.z.real, zp.z.imag],
             "z_prime": [zp.z_prime.real, zp.z_prime.imag],
@@ -95,24 +93,16 @@ class SampleBatch:
         }
 
 
-def sample_batch(
-    gp: GrandParams, count: int, seed: int, workers: int = 1, n_cap: int = 30
-) -> SampleBatch:
-    """Draw ``count`` diagrams; worker streams are split sub-seeds, merged in order."""
+def sample_batch(gp: GrandParams, count: int, seed: int, n_cap: int = 30) -> SampleBatch:
+    """Draw ``count`` diagrams from one stream spawned off ``SeedSequence(seed)``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    children = np.random.SeedSequence(seed).spawn(workers)
-    base, extra = divmod(count, workers)
-    draws: list[YoungDiagram] = []
-    for w, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        quota = base + (1 if w < extra else 0)
-        for _ in range(quota):
-            n = sample_size(gp, rng)
-            draws.append(sample_diagram(n, gp.zp, rng, n_cap))
-    return SampleBatch(seed, gp, tuple(draws), workers)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    draws = []
+    for _ in range(count):
+        n = sample_size(gp, rng)
+        draws.append(sample_diagram(n, gp.zp, rng, n_cap))
+    return SampleBatch(seed, gp, tuple(draws))
 
 
 def empirical_correlation(batch: SampleBatch, X: Configuration) -> tuple[float, float]:

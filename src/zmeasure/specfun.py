@@ -76,18 +76,9 @@ def pochhammer(a: complex, k: int) -> complex:
     return out
 
 
-def log_pochhammer(a: complex, k: int) -> complex:
-    """log (a)_k via the log-gamma difference; not valid when (a)_k vanishes."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 0.0 + 0.0j
-    return complex(_sp.loggamma(complex(a) + k) - _sp.loggamma(complex(a)))
-
-
 def loggamma(z):
     """Principal log Gamma of a complex scalar, or entrywise of an array."""
-    if np.ndim(z):
+    if isinstance(z, np.ndarray):
         return _sp.loggamma(np.asarray(z, dtype=complex))
     return complex(_sp.loggamma(complex(z)))
 

@@ -8,6 +8,7 @@ a certified bound on the mixing-weight tail it truncates.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 import warnings
@@ -21,6 +22,7 @@ from scipy import linalg as sla
 
 from .kernels import (
     BLOCKS,
+    decay_certificate,
     function_table,
     hyper_kernel,
     hyper_kernel_diag_derivative,
@@ -33,12 +35,20 @@ from .kernels import (
     rs,
     whittaker_kernel,
 )
-from .measures import GrandParams, ZParams, mixed_measure, plancherel_measure, z_measure_n
-from .partitions import Configuration, enumerate_partitions, to_configuration
+from .measures import (
+    GrandParams,
+    ZParams,
+    _log_pochhammer_products,
+    mixed_measure,
+    plancherel_measure,
+    z_measure_n,
+)
+from .partitions import Configuration, YoungDiagram, dimension, enumerate_partitions, to_configuration
 from .specfun import (
     PoleError,
     gauss_2f1_w,
     loggamma,
+    meixner_leading_coefficient,
     meixner_norm,
     meixner_polynomial,
     meixner_weight,
@@ -152,7 +162,7 @@ def negative_binomial_tail_bound(t: float, xi: float, n_max: int) -> float:
     return neg_binomial_weight(m, t, xi) / (1.0 - r)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # each entry holds every diagram up to n_max; callers rarely repeat gp
 def _weighted_configurations(gp: GrandParams, n_max: int) -> tuple[tuple[frozenset, float], ...]:
     out = []
     for n in range(n_max + 1):
@@ -188,11 +198,118 @@ def correlation_det(X: Configuration, gp: GrandParams) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Reference routes: second, independent computations that only the suites run
+
+
+def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by fraction-preserving Gaussian elimination."""
+    d = len(rows)
+    if d == 0:
+        return Fraction(1)
+    m = [row[:] for row in rows]
+    det = Fraction(1)
+    for col in range(d):
+        pivot_row = next((r for r in range(col, d) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det *= pivot
+        for r in range(col + 1, d):
+            factor = m[r][col] / pivot
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def _frobenius_det(diagram: YoungDiagram) -> Fraction:
+    """Exact det[1/(p_i + q_j + 1)], which equals dim * prod_i(p_i! q_i!) / n! for the diagram."""
+    p, q = diagram.frobenius
+    return _fraction_det([[Fraction(1, pi + qj + 1) for qj in q] for pi in p])
+
+
+def _frobenius_dimension(diagram: YoungDiagram, det: Fraction) -> Fraction:
+    """dim = n! det[1/(p_i + q_j + 1)] / prod_i(p_i! q_i!), given the determinant."""
+    p, q = diagram.frobenius
+    factorials = math.prod(math.factorial(pi) * math.factorial(qi) for pi, qi in zip(p, q))
+    return det * math.factorial(diagram.n) / factorials
+
+
+def _mixed_measure_direct(diagram: YoungDiagram, gp: GrandParams, det: Fraction) -> float:
+    """Grand-ensemble weight from the single product formula, given ``_frobenius_det(diagram)``.
+
+    (1-xi)^t xi^n t^d prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q / (p!^2 q!^2) * det^2:
+    no n-box normalization (t)_n and no hook lengths.
+    """
+    zp = gp.zp
+    p, q = diagram.frobenius
+    log_m = (
+        zp.t * math.log1p(-gp.xi)
+        + diagram.n * math.log(gp.xi)
+        + diagram.d * math.log(zp.t)
+        + _log_pochhammer_products(diagram, zp)
+        - 2.0 * sum(math.lgamma(pi + 1.0) + math.lgamma(qi + 1.0) for pi, qi in zip(p, q))
+        + 2.0 * math.log(det)
+    )
+    return realize(cmath.exp(log_m))
+
+
+def _meixner_kernel_cd(big_n: int, alpha: float, xi: float, k: int, l: int) -> float:
+    """Off-diagonal Meixner projection kernel by the two-term Christoffel-Darboux form."""
+    if k == l:
+        raise ValueError("the Christoffel-Darboux form holds off the diagonal only")
+    const = meixner_leading_coefficient(big_n - 1, alpha, xi) / (
+        meixner_leading_coefficient(big_n, alpha, xi) * meixner_norm(big_n - 1, alpha, xi)
+    )
+    root = math.sqrt(meixner_weight(k, alpha, xi) * meixner_weight(l, alpha, xi))
+    return (
+        const
+        * root
+        * (
+            meixner_polynomial(big_n, k, alpha, xi) * meixner_polynomial(big_n - 1, l, alpha, xi)
+            - meixner_polynomial(big_n - 1, k, alpha, xi) * meixner_polynomial(big_n, l, alpha, xi)
+        )
+        / (k - l)
+    )
+
+
+def _determinant_route_cases(n_max: int) -> list[CheckCase]:
+    """Hook-length dimensions and factored grand-ensemble weights against the
+    Frobenius-determinant routes: the worst gap over every diagram of at most
+    n_max boxes, one case for the dimension and one per parameter set."""
+    gps = [GrandParams(zp, DEFAULT_XI) for _name, zp in PARAMETER_SETS]
+    dim_gap = Fraction(0)
+    weight_gaps = [0.0] * len(gps)
+    for n in range(n_max + 1):
+        for lam in enumerate_partitions(n):
+            det = _frobenius_det(lam)
+            dim_gap = max(dim_gap, abs(_frobenius_dimension(lam, det) - dimension(lam)))
+            for i, gp in enumerate(gps):
+                factored = mixed_measure(lam, gp)
+                direct = _mixed_measure_direct(lam, gp, det)
+                weight_gaps[i] = max(weight_gaps[i], abs(factored - direct) / max(factored, direct))
+    cases = [_case(f"hook vs Frobenius-determinant dimension, n <= {n_max}", float(dim_gap), 0.0, 0.0)]
+    for (name, _zp), gap in zip(PARAMETER_SETS, weight_gaps):
+        cases.append(
+            _case(
+                f"factored vs direct grand-ensemble weight, {name}, xi={DEFAULT_XI}, n <= {n_max}",
+                gap,
+                0.0,
+                1e-10,
+            )
+        )
+    return cases
+
+
+# ---------------------------------------------------------------------------
 # Suites
 
 
 def normalization_check(n_max: int = 18, tol: float = 1e-11) -> VerificationReport:
-    """Each n-box measure sums to one; spot values; the large-z Plancherel limit."""
+    """Each n-box measure sums to one; spot values; the large-z Plancherel limit;
+    dimensions and grand-ensemble weights against their determinant routes."""
 
     def build() -> list[CheckCase]:
         cases = []
@@ -201,8 +318,6 @@ def normalization_check(n_max: int = 18, tol: float = 1e-11) -> VerificationRepo
                 total = sum(z_measure_n(lam, zp) for lam in enumerate_partitions(n))
                 cases.append(_case(f"sum over {n}-box diagrams, {name}", total, 1.0, tol))
         zp = DEFAULT_REAL_PAIR
-        from .partitions import YoungDiagram
-
         cases.append(
             _case("two-box row spot value", z_measure_n(YoungDiagram((2,)), zp), 6.0 / 7.0, 1e-14)
         )
@@ -222,6 +337,7 @@ def normalization_check(n_max: int = 18, tol: float = 1e-11) -> VerificationRepo
         cases.append(
             _case("six-box Plancherel gap shrinks at z=1000.5", diffs[1], diffs[0], 0.0, "decrease")
         )
+        cases.extend(_determinant_route_cases(n_max))
         return cases
 
     return _timed("normalization", tol, build)
@@ -258,35 +374,43 @@ def oracle_check(
     return _timed("oracle", rel_tol, build)
 
 
-def fredholm_check(gp: GrandParams, trunc: int = 60, tol: float = 1e-10) -> VerificationReport:
-    """det(1 + L) against (1 - xi)^(-t), in both the full and single-block forms."""
+def fredholm_check(gp: GrandParams, trunc: int | None = None, tol: float = 1e-10) -> VerificationReport:
+    """det(1 + L) against (1 - xi)^(-t), in both the full and single-block forms.
+
+    ``trunc`` defaults to the decay certificate of ``gp``.  The full
+    determinant comes from the LU factors of 1 + L.  The single-block form
+    det(1 + A A^T), with A the '+-' block of L, is the sum of log1p(sigma^2)
+    over the singular values of A: forming A A^T would square A's condition
+    number.
+    """
+    if trunc is None:
+        trunc = decay_certificate(gp)
 
     def build() -> list[CheckCase]:
         t = gp.t
-        target = 1.0  # compare det(1+L) * (1-xi)^t against 1
+        log_scale = t * math.log1p(-gp.xi)  # compare det(1+L) * (1-xi)^t against 1
         lmat = l_matrix(gp, trunc)
-        full = np.eye(2 * trunc) + lmat
-        lu, piv = sla.lu_factor(full)
-        diag = np.abs(np.diag(lu))
-        if diag.min() < 1e-13 * diag.max():
-            warnings.warn(f"LU pivots degrade: ratio {diag.min() / diag.max():.2e}")
-        sign, logdet = np.linalg.slogdet(full)
-        det_full = sign * math.exp(logdet + t * math.log1p(-gp.xi))
-        a = lmat[:trunc, trunc:]
-        single = np.eye(trunc) + a @ a.T
-        sign_s, logdet_s = np.linalg.slogdet(single)
-        det_single = sign_s * math.exp(logdet_s + t * math.log1p(-gp.xi))
+        lu, piv = sla.lu_factor(np.eye(2 * trunc) + lmat)
+        diag = np.diag(lu)
+        mag = np.abs(diag)
+        if mag.min() < 1e-13 * mag.max():
+            warnings.warn(f"LU pivots degrade: ratio {mag.min() / mag.max():.2e}")
+        swaps = np.count_nonzero(piv != np.arange(2 * trunc))
+        sign = (-1.0) ** swaps * np.prod(np.sign(diag))
+        det_full = sign * math.exp(np.sum(np.log(mag)) + log_scale)
+        sigma = sla.svdvals(lmat[:trunc, trunc:])
+        det_single = math.exp(np.sum(np.log1p(sigma**2)) + log_scale)
         label = f"xi={gp.xi}, t={t:.6g}, trunc={trunc}"
         return [
-            _case(f"det(1+L) * (1-xi)^t, {label}", det_full, target, tol),
-            _case(f"single-block det * (1-xi)^t, {label}", det_single, target, tol),
+            _case(f"det(1+L) * (1-xi)^t, {label}", det_full, 1.0, tol),
+            _case(f"single-block det * (1-xi)^t, {label}", det_single, 1.0, tol),
             _case(f"two determinant forms agree, {label}", det_full, det_single, 1e-11),
         ]
 
     return _timed("fredholm", tol, build)
 
 
-def fredholm_suite(trunc: int = 60) -> VerificationReport:
+def fredholm_suite(trunc: int | None = None) -> VerificationReport:
     real = fredholm_check(GrandParams(DEFAULT_REAL_PAIR, 0.3), trunc)
     cplx = fredholm_check(GrandParams(COMPLEX_PAIR, 0.5), trunc)
     return VerificationReport(
@@ -473,13 +597,19 @@ def meixner_check(
     def build() -> list[CheckCase]:
         cases = []
         gp = GrandParams(ZParams.meixner(big_n, alpha), xi)
-        worst = 0.0
+        worst = worst_cd = 0.0
         for k in range(grid + 1):
             for l in range(grid + 1):
                 hk = hyper_kernel(Fraction(2 * k + 1, 2), Fraction(2 * l + 1, 2), gp)
                 mk = meixner_kernel(big_n, alpha, xi, k + big_n, l + big_n)
                 worst = max(worst, abs(hk - mk) / max(abs(mk), 1e-300))
+                if k != l:
+                    cd = _meixner_kernel_cd(big_n, alpha, xi, k + big_n, l + big_n)
+                    worst_cd = max(worst_cd, abs(cd - mk) / max(abs(mk), abs(cd), 1e-300))
         cases.append(_case(f"'++' block degenerates to rank-{big_n} kernel", worst, 0.0, 1e-10))
+        cases.append(
+            _case(f"Christoffel-Darboux vs rank-{big_n} sum, off-diagonal", worst_cd, 0.0, 1e-10)
+        )
         mat = meixner_kernel_matrix(big_n, alpha, xi, proj_size)
         cases.append(_case("projection trace", float(np.trace(mat)), float(big_n), 1e-8))
         cases.append(
@@ -605,7 +735,9 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
         )
         return [merged]
     if name == "fredholm":
-        return [fredholm_suite()]
+        if zp is None and xi is None:
+            return [fredholm_suite()]
+        return [fredholm_check(GrandParams(zp or DEFAULT_REAL_PAIR, xi or DEFAULT_XI))]
     if name == "identities":
         gps = (
             [GrandParams(zp, xi or DEFAULT_XI)]

@@ -102,6 +102,10 @@ class TestSampleCommand:
         assert len(draws) == 25
         assert all(d["n"] == sum(d["parts"]) for d in draws)
 
+    def test_workers_flag_refused(self, capsys):
+        code, _out, _err = run(capsys, "sample", "--seed", "1", "--count", "3", "--workers", "2")
+        assert code == 2
+
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ZMEASURE_OUT_DIR", str(tmp_path / "outputs"))
         code, _out, _err = run(

@@ -28,6 +28,7 @@ from zmeasure.kernels import (
     whittaker_q,
 )
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams
+from zmeasure.verification import _meixner_kernel_cd
 from zmeasure.specfun import DomainError, PoleError, _reseed_stride, gauss_2f1_w, realize
 
 HALF = Fraction(1, 2)
@@ -298,7 +299,10 @@ class TestTransforms:
 class TestMeixnerKernel:
     def test_routes_agree(self):
         for k, l in ((0, 1), (2, 7), (5, 5), (9, 3)):
-            meixner_kernel(3, 0.5, 0.4, k, l)  # raises on route disagreement
+            total = meixner_kernel(3, 0.5, 0.4, k, l)
+            if k != l:  # the Christoffel-Darboux form holds off the diagonal only
+                cd = _meixner_kernel_cd(3, 0.5, 0.4, k, l)
+                assert abs(total - cd) <= 1e-10 * max(abs(total), abs(cd), 1e-300), (k, l)
 
     def test_trace(self):
         mat = meixner_kernel_matrix(3, 0.5, 0.4, 100)

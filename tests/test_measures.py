@@ -11,6 +11,7 @@ from zmeasure.measures import (
     z_measure_table,
 )
 from zmeasure.partitions import EMPTY_DIAGRAM, YoungDiagram, enumerate_partitions
+from zmeasure.verification import _frobenius_det, _mixed_measure_direct
 
 
 class TestAdmissibility:
@@ -121,10 +122,12 @@ class TestMixedMeasure:
         )
 
     def test_two_routes_agree_small_diagrams(self, gp02):
-        # the route comparison is asserted inside mixed_measure
         for n in range(16):
             for lam in enumerate_partitions(n):
-                assert mixed_measure(lam, gp02) > 0.0
+                factored = mixed_measure(lam, gp02)
+                direct = _mixed_measure_direct(lam, gp02, _frobenius_det(lam))
+                assert factored > 0.0
+                assert abs(factored - direct) <= 1e-10 * max(factored, direct), lam
 
     def test_total_mass(self, gp02):
         total = sum(

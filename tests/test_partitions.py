@@ -13,11 +13,11 @@ from zmeasure.partitions import (
     _all_diagrams,
     dimension,
     enumerate_partitions,
-    frobenius_coordinates,
     from_configuration,
     partition_count,
     to_configuration,
 )
+from zmeasure.verification import _frobenius_det, _frobenius_dimension
 
 partitions_strategy = st.lists(st.integers(1, 12), max_size=8).map(
     lambda xs: YoungDiagram(tuple(sorted(xs, reverse=True)))
@@ -77,15 +77,15 @@ class TestDiagram:
         assert YoungDiagram.from_parts([3, 2, 0, 0]).parts == (3, 2)
 
     def test_frobenius_empty(self):
-        assert frobenius_coordinates(EMPTY_DIAGRAM) == ((), ())
+        assert EMPTY_DIAGRAM.frobenius == ((), ())
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_frobenius_single_row(self, n):
-        assert frobenius_coordinates(YoungDiagram((n,))) == ((n - 1,), (0,))
+        assert YoungDiagram((n,)).frobenius == ((n - 1,), (0,))
 
     def test_frobenius_hand_example(self):
         lam = YoungDiagram((3, 2, 2))
-        p, q = frobenius_coordinates(lam)
+        p, q = lam.frobenius
         assert (p, q) == ((2, 0), (2, 1))
         assert sum(pi + qi + 1 for pi, qi in zip(p, q)) == 7
 
@@ -116,6 +116,11 @@ class TestDimension:
 
     def test_empty(self):
         assert dimension(EMPTY_DIAGRAM) == 1
+
+    def test_hooks_match_frobenius_determinant(self):
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                assert _frobenius_dimension(lam, _frobenius_det(lam)) == dimension(lam), lam
 
 
 class TestConfiguration:

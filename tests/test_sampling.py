@@ -13,6 +13,18 @@ from zmeasure.sampling import (
     sample_size,
 )
 
+# sample_batch(GrandParams(0.5+1.5i, 0.5-1.5i, xi=0.5), 200, seed=7): parts of
+# each draw joined by ",", draws joined by ";" (an empty field is the empty diagram).
+PINNED_DRAWS = (
+    "4;2,1;3;;3;1;4,1;4,1,1;2,1;2,1;1;3;;;2,1,1;3,2;2;3,1;5;;2,1;2;6,1;2;;2;2,2,1,1,1;;1;1;"
+    "1,1;2,1;2;5;1,1,1,1,1;;1,1;2,1,1;2;2,1;1,1,1;;3,1;3;;3,1,1;1;4;1;1,1;;1,1;1;3,1,1;;1;3;;"
+    "3;3,1,1,1;1;6;4,1,1,1;;2;1;3,1;4,1;;5;1;;;3,2;1,1;3,1;2;2;4,1,1;1;4;;1,1;;6,2;3,1;;1;1;1;"
+    ";1;3;2,1;1;2,1;2;2,1;5,1;2;3;1,1;;1,1,1,1;1;;5,1;4,1,1;2,1;3,1;;;4,1,1;2,1,1,1;1,1,1;2,1;"
+    "4,1,1,1;6,1,1,1;4;2;1;5,1,1;3;;3,1;4,1,1;2,1;6,1;3,1;2,1,1;2,1;2;1;3,1;2,1,1;1;1;2,1;1,1;;"
+    "1;1,1,1;1;1,1;3,1;1;1;1;;2,1;9;6,1;1;3,1;;;3;3;4;;1,1;2;3;2;3,1;1,1;1;;1,1;1;2;1,1;;;1;;"
+    "2,1,1,1,1;1,1,1,1;;2,1;1,1;1;2;2;;1,1;4,1;4;;2,1;3,1;1;4,1;;2,1;5,1;3;3,2;1,1;5,1"
+)
+
 
 class TestSampleSize:
     def test_empirical_mean(self, gp02):
@@ -62,11 +74,10 @@ class TestBatches:
         gp = GrandParams(real_pair, 0.5)
         assert sample_batch(gp, 2000, seed=1).draws != sample_batch(gp, 2000, seed=2).draws
 
-    def test_worker_split_deterministic(self, real_pair):
-        gp = GrandParams(real_pair, 0.5)
-        a = sample_batch(gp, 999, seed=7, workers=3)
-        b = sample_batch(gp, 999, seed=7, workers=3)
-        assert a.draws == b.draws and a.count == 999
+    def test_pinned_stream(self, complex_pair):
+        # Draws recorded under the zmeasure.sample/1 schema: any change here changes its streams.
+        batch = sample_batch(GrandParams(complex_pair, 0.5), 200, seed=7)
+        assert ";".join(",".join(map(str, lam.parts)) for lam in batch.draws) == PINNED_DRAWS
 
     def test_meta_fields(self, real_pair):
         gp = GrandParams(real_pair, 0.5)
@@ -74,6 +85,7 @@ class TestBatches:
         assert meta["schema"] == "zmeasure.sample/1"
         assert meta["algorithm"].startswith("numpy-PCG64")
         assert meta["count"] == 10
+        assert set(meta) == {"schema", "seed", "algorithm", "count", "z", "z_prime", "xi"}
 
 
 class TestEmpiricalCorrelation:

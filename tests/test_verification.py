@@ -1,22 +1,28 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zmeasure.measures import GrandParams
+from zmeasure.measures import GrandParams, ZParams
 from zmeasure.partitions import Configuration, EMPTY_CONFIGURATION
 from zmeasure.verification import (
     TailBudgetError,
     VerificationReport,
     _case,
+    _weighted_configurations,
     correlation_det,
     correlation_oracle,
     fredholm_check,
     identity_suite,
+    meixner_check,
     negative_binomial_tail_bound,
     normalization_check,
+    oracle_check,
     run_suite,
 )
-from zmeasure.kernels import hyper_kernel
+from zmeasure.kernels import decay_certificate, hyper_kernel, kernel_block_matrix
 
 
 class TestOracle:
@@ -47,6 +53,11 @@ class TestOracle:
         bound = negative_binomial_tail_bound(gp02.t, gp02.xi, 15)
         actual = sum(neg_binomial_weight(n, gp02.t, gp02.xi) for n in range(16, 300))
         assert 0.0 < actual <= bound
+
+    def test_cache_holds_one_parameter_set(self, real_pair, complex_pair):
+        for zp in (real_pair, complex_pair):
+            assert oracle_check(zp, xi=0.01, n_max=10, max_size=1).passed
+        assert _weighted_configurations.cache_info().currsize == 1
 
 
 class TestCorrelationDet:
@@ -126,6 +137,27 @@ class TestSuites:
     def test_normalization_suite(self):
         report = normalization_check(n_max=6)
         assert report.passed, report.failures()
+        labels = [c.label for c in report.cases]
+        assert sum(label.startswith("hook vs Frobenius-determinant dimension") for label in labels) == 1
+        assert sum(label.startswith("factored vs direct grand-ensemble weight") for label in labels) == 3
+
+    def test_meixner_suite_checks_christoffel_darboux(self):
+        report = meixner_check()
+        assert report.passed, report.failures()
+        assert any(c.label.startswith("Christoffel-Darboux vs rank-3 sum") for c in report.cases)
+
+    @pytest.mark.parametrize(
+        "zp,xi",
+        [
+            (ZParams(0.5 + 8.0j, 0.5 - 8.0j), 0.5),  # A has singular values near 2e4
+            (ZParams(0.5 + 1.5j, 0.5 - 1.5j), 0.97),  # 1515 rows; 60 miss by 0.3
+        ],
+    )
+    def test_fredholm_at_certificate_size(self, zp, xi):
+        gp = GrandParams(zp, xi)
+        report = fredholm_check(gp)
+        assert report.passed, report.failures()
+        assert all(f"trunc={decay_certificate(gp)}" in c.label for c in report.cases)
 
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):
@@ -134,3 +166,35 @@ class TestSuites:
     def test_run_suite_fredholm(self):
         (report,) = run_suite("fredholm")
         assert report.suite == "fredholm" and report.passed
+
+    def test_run_suite_fredholm_uses_given_parameters(self, complex_pair):
+        (report,) = run_suite("fredholm", complex_pair, 0.4)
+        assert report.passed and len(report.cases) == 3
+        assert all("xi=0.4, t=2.5," in c.label for c in report.cases)
+
+
+@st.composite
+def admissible_pairs(draw) -> ZParams:
+    """Real pairs in (0, 1) or (-1, 0), or conjugate pairs with 0 < Im z <= 2."""
+    kind = draw(st.sampled_from(("positive", "negative", "conjugate")))
+    if kind == "conjugate":
+        z = complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(0.1, 2.0)))
+        return ZParams(z, z.conjugate())
+    pair = [draw(st.floats(0.01, 0.99)) for _ in range(2)]
+    return ZParams(*(pair if kind == "positive" else [-x for x in pair]))
+
+
+class TestProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(admissible_pairs(), st.floats(0.05, 0.9))
+    def test_kernel_and_fredholm_identity(self, zp, xi):
+        gp = GrandParams(zp, xi)
+        trunc = 12
+        plus_minus = kernel_block_matrix(gp, "+-", trunc).entries
+        minus_plus = kernel_block_matrix(gp, "-+", trunc).entries
+        assert np.array_equal(minus_plus, -plus_minus.T)
+        for block in ("++", "--"):
+            diag = np.diag(kernel_block_matrix(gp, block, trunc).entries)
+            assert (diag >= 0.0).all() and (diag <= 1.0).all(), block
+        report = fredholm_check(gp)
+        assert report.passed, report.failures()
