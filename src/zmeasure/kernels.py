@@ -3,8 +3,12 @@
 The determinantal process attached to the grand ensemble is generated by a
 block-antidiagonal operator L built from the positive weights psi(+/-, k) and
 the Cauchy-type matrix W(k, l) = 1/(k+l+1).  Its correlation kernel
-K = L(1+L)^(-1) has closed-form blocks assembled from two families of
-hypergeometric functions (R, S and their normalized versions P, Q).
+K = L(1+L)^(-1) is an integrable operator in one pair (P, Q) per half-line:
+(P(x)Q(y) - Q(x)P(y))/(|x| - |y|) for x, y on one half-line and
+sign(x) (P(x)P(y) + Q(x)Q(y))/(|x| + |y|) across the halves.  On the lattice
+|x| = k + 1/2 and P, Q are normalized hypergeometric functions; the Whittaker
+kernel, the continuum limit, has the same form in Whittaker functions.
+:func:`_integrable_form` is the one place it is written.
 
 Index convention, fixed once: the positive point k + 1/2 corresponds to row or
 column k of the '++' block, the negative point -(k + 1/2) to index k of the
@@ -21,7 +25,8 @@ finite where psi underflows.
 Diagonal entries of the '++' and '--' blocks are defined by a removable
 singularity; the load-bearing route here is the convergent series coming from
 the product form of the block (K++ = CD, K-- = DC), with a derivative-based
-route kept as an independent cross-check.
+route kept as an independent cross-check.  The Whittaker diagonal is the
+closed derivative of the integrable form.
 """
 
 from __future__ import annotations
@@ -29,16 +34,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .measures import AdmissibilityError, GrandParams, ZParams
+from .partitions import ConfigurationError, _as_half_integer
 from .specfun import (
     ConvergenceError,
     DomainError,
     PoleError,
+    _is_nonpositive_integer,
     gauss_2f1_columns,
     gauss_2f1_w,
     gauss_2f1_w_dc,
@@ -55,7 +61,6 @@ BLOCKS = ("++", "+-", "-+", "--")
 
 DECAY_CERTIFICATE_RATIO = 1e-16
 TABLE_MARGIN = 40  # table rows kept past the decay certificate
-WHITTAKER_DIAGONAL_TOL = 1e-6
 
 
 def _sign(sign) -> int:
@@ -66,25 +71,30 @@ def _sign(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _block_signs(block: str) -> tuple[int, int]:
+    """The signs of the row and column half-lines of a block name such as '+-'."""
+    if block not in BLOCKS:
+        raise ValueError(f"block must be one of {BLOCKS}")
+    return _sign(block[0]), _sign(block[1])
+
+
 def half_integer_index(x) -> tuple[int, int]:
     """Map a half-integer point +-(k + 1/2) to (sign, k)."""
-    f = Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(2)
-    if isinstance(x, float) and abs(float(f) - x) > 1e-9:
-        raise DomainError(f"{x!r} is not a half-integer")
-    if f.denominator != 2 or f == 0:
-        raise DomainError(f"{x!r} is not a half-integer")
-    s = 1 if f > 0 else -1
-    k = (abs(f.numerator) - 1) // 2
-    return s, int(k)
+    try:
+        f = _as_half_integer(x)
+    except ConfigurationError as exc:
+        raise DomainError(str(exc)) from exc
+    return (1 if f > 0 else -1), (abs(f.numerator) - 1) // 2
 
 
-def _check_pole_args(*values: complex) -> None:
-    for v in values:
-        v = complex(v)
-        if v.imag == 0.0:
-            r = round(v.real)
-            if r <= 0 and abs(v.real - r) < 1e-12:
-                raise PoleError(f"gamma argument {v.real} is a nonpositive integer")
+def _integrable_form(sx, px, qx, ax, sy, py, qy, ay):
+    """The kernel between x = sx * ax and y = sy * ay from (P, Q) at each point; arrays broadcast.
+
+    (px qy - qx py) / (ax - ay) on one half-line, sx (px py + qx qy) / (ax + ay) across.
+    """
+    if sx == sy:
+        return (px * qy - qx * py) / (ax - ay)
+    return sx * (px * py + qx * qy) / (ax + ay)
 
 
 def _log_psi(sign: int, u, gp: GrandParams):
@@ -109,7 +119,9 @@ def _log_psi(sign: int, u, gp: GrandParams):
 
 @lru_cache(maxsize=200_000)
 def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
-    _check_pole_args(u + 1 + sign * gp.zp.z, u + 1 + sign * gp.zp.z_prime, u + 1)
+    for v in (u + 1 + sign * gp.zp.z, u + 1 + sign * gp.zp.z_prime, u + 1):
+        if _is_nonpositive_integer(v, tol=1e-12):
+            raise PoleError(f"gamma argument {complex(v).real} is a nonpositive integer")
     return _log_psi(sign, u, gp)
 
 
@@ -221,6 +233,12 @@ class FunctionTable:
     q_minus: np.ndarray
     decay_index: int
 
+    def columns(self, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The R, S, P and Q columns of one sign."""
+        if sign > 0:
+            return self.r_plus, self.s_plus, self.p_plus, self.q_plus
+        return self.r_minus, self.s_minus, self.p_minus, self.q_minus
+
     @classmethod
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
         """Tabulate both signs at k = 0..max(size, decay index + TABLE_MARGIN) - 1.
@@ -289,9 +307,7 @@ def l_entry(x, y, gp: GrandParams) -> float:
     sy, l = half_integer_index(y)
     if sx == sy:
         return 0.0
-    if sx > 0:
-        return math.sqrt(psi(1, k, gp) * psi(-1, l, gp)) / (k + l + 1.0)
-    return -math.sqrt(psi(-1, k, gp) * psi(1, l, gp)) / (k + l + 1.0)
+    return sx * math.sqrt(psi(sx, k, gp) * psi(sy, l, gp)) / (k + l + 1.0)
 
 
 def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
@@ -321,11 +337,7 @@ def _diag_sums(sign: int, ks: np.ndarray, tbl: FunctionTable) -> np.ndarray:
     The weights are formed DIAG_CHUNK rows at a time, so memory stays
     O(DIAG_CHUNK * table size) however many indices are asked for.
     """
-    other = (
-        np.column_stack((tbl.r_minus, tbl.s_minus))
-        if sign > 0
-        else np.column_stack((tbl.r_plus, tbl.s_plus))
-    )
+    other = np.column_stack(tbl.columns(-sign)[:2])
     j = np.arange(tbl.size)
     out = np.empty((len(ks), 2))
     for start in range(0, len(ks), DIAG_CHUNK):
@@ -379,32 +391,16 @@ def hyper_kernel_diag_derivative(sign, k: int, gp: GrandParams) -> float:
 def hyper_kernel(x, y, gp: GrandParams) -> float:
     """The correlation kernel K(x, y) at half-integer points.
 
-    Off-diagonal entries come from the closed block forms; same-index
-    diagonal entries of the '++' and '--' blocks from the product series.
+    Off-diagonal entries are the integrable form of (P, Q) at |x| = k + 1/2;
+    same-index diagonal entries of the '++' and '--' blocks the product series.
     """
     sx, k = half_integer_index(x)
     sy, l = half_integer_index(y)
     if gp.zp.meixner_mode and not (sx > 0 and sy > 0):
         raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
-    if sx > 0 and sy > 0:
-        if k == l:
-            return _diag_series(1, k, gp)
-        pk, qk = pq(1, k, gp)
-        pl, ql = pq(1, l, gp)
-        return (pk * ql - qk * pl) / (k - l)
-    if sx > 0 and sy < 0:
-        pk, qk = pq(1, k, gp)
-        pl, ql = pq(-1, l, gp)
-        return (pk * pl + qk * ql) / (k + l + 1.0)
-    if sx < 0 and sy > 0:
-        pk, qk = pq(-1, k, gp)
-        pl, ql = pq(1, l, gp)
-        return -(pk * pl + qk * ql) / (k + l + 1.0)
-    if k == l:
-        return _diag_series(-1, k, gp)
-    pk, qk = pq(-1, k, gp)
-    pl, ql = pq(-1, l, gp)
-    return (pk * ql - qk * pl) / (k - l)
+    if sx == sy and k == l:
+        return _diag_series(sx, k, gp)
+    return _integrable_form(sx, *pq(sx, k, gp), k + 0.5, sy, *pq(sy, l, gp), l + 0.5)
 
 
 @dataclass(frozen=True)
@@ -438,43 +434,35 @@ class KernelBlock:
 
 
 def kernel_block_matrix(gp: GrandParams, block: str, trunc: int) -> KernelBlock:
-    """Assemble a truncated kernel block as a dense matrix."""
-    if block not in BLOCKS:
-        raise ValueError(f"block must be one of {BLOCKS}")
+    """Assemble a truncated kernel block as a dense matrix.
+
+    The integrable form over (P, Q) columns of the function table, or of the
+    point route for the meixner-mode '++' block; a '++' or '--' diagonal comes
+    from the product series.
+    """
+    sx, sy = _block_signs(block)
+    k = np.arange(trunc)
     if gp.zp.meixner_mode:
         if block != "++":
             raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
-        entries = np.empty((trunc, trunc))
-        for k in range(trunc):
-            for l in range(trunc):
-                entries[k, l] = hyper_kernel(Fraction(2 * k + 1, 2), Fraction(2 * l + 1, 2), gp)
-        return KernelBlock(block, trunc, gp, entries)
-    tbl = function_table(gp, trunc)
-    k = np.arange(trunc)
-    if block in ("++", "--"):
-        sign = 1 if block == "++" else -1
-        if sign > 0:
-            p, q, r, s = tbl.p_plus, tbl.q_plus, tbl.r_plus, tbl.s_plus
-        else:
-            p, q, r, s = tbl.p_minus, tbl.q_minus, tbl.r_minus, tbl.s_minus
-        p, q = p[:trunc], q[:trunc]
-        diff = k[:, None] - k[None, :]
-        np.fill_diagonal(diff, 1)  # placeholder, diagonal replaced below
-        entries = (np.outer(p, q) - np.outer(q, p)) / diff
-        sums = _diag_sums(sign, k, tbl)
-        np.fill_diagonal(entries, r[:trunc] * sums[:, 0] + s[:trunc] * sums[:, 1])
-        return KernelBlock(block, trunc, gp, entries)
-    denom = k[:, None] + k[None, :] + 1.0
-    if block == "+-":
-        entries = (
-            np.outer(tbl.p_plus[:trunc], tbl.p_minus[:trunc])
-            + np.outer(tbl.q_plus[:trunc], tbl.q_minus[:trunc])
-        ) / denom
+        cols = {1: np.array([pq(1, i, gp) for i in range(trunc)]).T}
+        diag = [_diag_series(1, i, gp) for i in range(trunc)]
     else:
-        entries = -(
-            np.outer(tbl.p_minus[:trunc], tbl.p_plus[:trunc])
-            + np.outer(tbl.q_minus[:trunc], tbl.q_plus[:trunc])
-        ) / denom
+        tbl = function_table(gp, trunc)
+        cols = {s: tbl.columns(s)[2:] for s in (1, -1)}
+        if sx == sy:
+            r, s = tbl.columns(sx)[:2]
+            sums = _diag_sums(sx, k, tbl)
+            diag = r[:trunc] * sums[:, 0] + s[:trunc] * sums[:, 1]
+    (px, qx), (py, qy) = cols[sx], cols[sy]
+    a = k + 0.5
+    with np.errstate(invalid="ignore"):  # 0/0 on a same-sign diagonal, replaced below
+        entries = _integrable_form(
+            sx, px[:trunc, None], qx[:trunc, None], a[:, None],
+            sy, py[None, :trunc], qy[None, :trunc], a[None, :],
+        )
+    if sx == sy:
+        np.fill_diagonal(entries, diag)
     return KernelBlock(block, trunc, gp, entries)
 
 
@@ -506,8 +494,7 @@ def rhat_shat(sign, u: float, gp: GrandParams, tol: float = 1e-15) -> tuple[floa
     denom = u + k + 1.0
     if np.any(np.abs(denom) < 1e-8):
         raise PoleError(f"u = {u} is within 1e-8 of a pole of the transform")
-    r_arr = tbl.r_plus if s > 0 else tbl.r_minus
-    s_arr = tbl.s_plus if s > 0 else tbl.s_minus
+    r_arr, s_arr = tbl.columns(s)[:2]
     rhat = float(np.sum(r_arr / denom))
     shat = float(np.sum(s_arr / denom))
     last = max(abs(r_arr[-1] / denom[-1]), abs(s_arr[-1] / denom[-1]))
@@ -554,79 +541,62 @@ def meixner_kernel_matrix(big_n: int, alpha: float, xi: float, size: int) -> np.
 # Whittaker kernel (continuum limit)
 
 
-def _whittaker_prefactor(sign: int, x: float, zp: ZParams) -> float:
+def _gamma_product(sign: int, zp: ZParams) -> float:
+    """Gamma(1 + s z) Gamma(1 + s z'), positive for admissible parameters."""
     g = realize(np.exp(loggamma(1 + sign * zp.z) + loggamma(1 + sign * zp.z_prime)))
     if g <= 0:
         raise ArithmeticError("Gamma product must be positive")
-    return 1.0 / math.sqrt(g * x)
+    return g
+
+
+def _whittaker_w(sign: int, shift: float, x: float, zp: ZParams) -> float:
+    """W_(kappa, mu)(x) at kappa = (sign (z + z') + shift) / 2 and mu = (z - z') / 2."""
+    return whittaker_w((sign * zp.z_sum + shift) / 2.0, (zp.z - zp.z_prime) / 2.0, x)
+
+
+def _whittaker_component(sign, shift: float, x: float, zp: ZParams) -> float:
+    """t^((2 - shift)/4) (Gamma(1 + s z) Gamma(1 + s z') x)^(-1/2) W at shift 1 (P) or -1 (Q)."""
+    s = _sign(sign)
+    if x <= 0:
+        raise DomainError("x must be positive")
+    prefactor = 1.0 / math.sqrt(_gamma_product(s, zp) * x)
+    return zp.t ** ((2.0 - shift) / 4.0) * prefactor * _whittaker_w(s, shift, x, zp)
 
 
 def whittaker_p(sign, x: float, zp: ZParams) -> float:
     """First Whittaker-function component of the continuum kernel."""
-    s = _sign(sign)
-    if x <= 0:
-        raise DomainError("x must be positive")
-    kappa = (s * zp.z_sum + 1.0) / 2.0
-    mu = (zp.z - zp.z_prime) / 2.0
-    return zp.t**0.25 * _whittaker_prefactor(s, x, zp) * whittaker_w(kappa, mu, x)
+    return _whittaker_component(sign, 1.0, x, zp)
 
 
 def whittaker_q(sign, x: float, zp: ZParams) -> float:
     """Second Whittaker-function component of the continuum kernel."""
-    s = _sign(sign)
-    if x <= 0:
-        raise DomainError("x must be positive")
-    kappa = (s * zp.z_sum - 1.0) / 2.0
-    mu = (zp.z - zp.z_prime) / 2.0
-    return zp.t**0.75 * _whittaker_prefactor(s, x, zp) * whittaker_w(kappa, mu, x)
+    return _whittaker_component(sign, -1.0, x, zp)
 
 
 def _whittaker_diag(sign: int, x: float, zp: ZParams) -> float:
-    # No closed form is available on the diagonal; take the symmetric
-    # difference limit with one Richardson step (even in h, so O(h^4)).
-    def g(h: float) -> float:
-        pp = whittaker_p(sign, x + h, zp)
-        pm = whittaker_p(sign, x - h, zp)
-        qp = whittaker_q(sign, x + h, zp)
-        qm = whittaker_q(sign, x - h, zp)
-        return (pp * qm - qp * pm) / (2.0 * h)
+    """K(x, x) = Q P' - P Q', from W at kappa - 1, kappa and kappa + 1.
 
-    h = 1e-3 * x
-    return (4.0 * g(h / 2.0) - g(h)) / 3.0
+    W'_kappa = (1/2 - kappa/x) W_kappa - W_(kappa+1)/x (DLMF 13.15), and the
+    derivatives of the x^(-1/2) prefactors cancel.
+    """
+    w0, w1, w2 = (_whittaker_w(sign, shift, x, zp) for shift in (-1.0, 1.0, 3.0))
+    return zp.t / (_gamma_product(sign, zp) * x * x) * (w1 * w1 - w0 * w1 - w0 * w2)
 
 
 def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
     """The continuum correlation kernel on the punctured real line.
 
-    Blocks are dispatched by the signs of u and v; same-sign blocks use the
-    difference form (numerical limit on the diagonal, tolerance about 1e-6),
-    opposite-sign blocks the sum form with the J-antisymmetry minus sign.
+    The integrable form of (P, Q) = (whittaker_p, whittaker_q) at |u| and
+    |v|, with the signs of u and v choosing the half-lines; the same-sign
+    diagonal is its closed derivative.
     """
     if u == 0.0 or v == 0.0:
         raise DomainError("the kernel is defined on nonzero reals")
-    if u > 0 and v > 0:
-        if u == v:
-            return _whittaker_diag(1, u, zp)
-        return (
-            whittaker_p(1, u, zp) * whittaker_q(1, v, zp)
-            - whittaker_q(1, u, zp) * whittaker_p(1, v, zp)
-        ) / (u - v)
-    if u > 0 and v < 0:
-        x, y = u, -v
-        return (
-            whittaker_p(1, x, zp) * whittaker_p(-1, y, zp)
-            + whittaker_q(1, x, zp) * whittaker_q(-1, y, zp)
-        ) / (x + y)
-    if u < 0 and v > 0:
-        x, y = -u, v
-        return -(
-            whittaker_p(-1, x, zp) * whittaker_p(1, y, zp)
-            + whittaker_q(-1, x, zp) * whittaker_q(1, y, zp)
-        ) / (x + y)
-    x, y = -u, -v
-    if x == y:
-        return _whittaker_diag(-1, x, zp)
-    return (
-        whittaker_p(-1, x, zp) * whittaker_q(-1, y, zp)
-        - whittaker_q(-1, x, zp) * whittaker_p(-1, y, zp)
-    ) / (x - y)
+    su, sv = (1 if u > 0 else -1), (1 if v > 0 else -1)
+    x, y = abs(u), abs(v)
+    if u == v:
+        return _whittaker_diag(su, x, zp)
+    return _integrable_form(
+        su, whittaker_p(su, x, zp), whittaker_q(su, x, zp), x,
+        sv, whittaker_p(sv, y, zp), whittaker_q(sv, y, zp), y,
+    )

@@ -137,7 +137,8 @@ class GrandParams:
 
 @lru_cache(maxsize=64)
 def _param_logs(zp: ZParams) -> dict:
-    return {"log_t": math.log(zp.t), "lg_t": math.lgamma(zp.t)}
+    t = zp.t
+    return {"t": t, "log_t": math.log(t), "lg_t": math.lgamma(t)}
 
 
 @lru_cache(maxsize=8)  # callers walk the diagrams size by size, a few parameter sets at a time
@@ -189,8 +190,8 @@ def z_measure_n(diagram: YoungDiagram, zp: ZParams) -> float:
     n = diagram.n
     if n == 0:
         return 1.0
-    t = zp.t
     logs = _param_logs(zp)
+    t = logs["t"]
     log_m = (
         diagram.d * logs["log_t"]
         - (math.lgamma(t + n) - logs["lg_t"])
@@ -227,7 +228,8 @@ def mixed_measure(diagram: YoungDiagram, gp: GrandParams) -> float:
     The normalization suite checks it against the single product formula.
     """
     _require_admissible(gp.zp)
-    return z_measure_n(diagram, gp.zp) * neg_binomial_weight(diagram.n, gp.t, gp.xi)
+    t = _param_logs(gp.zp)["t"]
+    return z_measure_n(diagram, gp.zp) * neg_binomial_weight(diagram.n, t, gp.xi)
 
 
 def plancherel_measure(diagram: YoungDiagram) -> float:

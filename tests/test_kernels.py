@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import zmeasure.kernels as kernels
 from zmeasure.kernels import (
     DIAG_CHUNK,
     FunctionTable,
@@ -245,6 +247,22 @@ class TestHyperKernel:
             deriv = hyper_kernel_diag_derivative("+", k, gp03)
             assert series == pytest.approx(deriv, rel=1e-7)
 
+    @pytest.mark.parametrize("xi", [0.3, 0.9])
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_blocks_match_point_route_off_diagonal(self, family, xi):
+        gp = GrandParams(TABLE_FAMILIES[family], xi)
+        trunc = 20
+        for block in ("++", "+-", "-+", "--"):
+            sx, sy = (1 if c == "+" else -1 for c in block)
+            entries = kernel_block_matrix(gp, block, trunc).entries
+            scale = np.max(np.abs(entries))
+            for k in range(trunc):
+                for l in range(trunc):
+                    if sx == sy and k == l:
+                        continue
+                    ref = hyper_kernel(point(sx, k), point(sy, l), gp)
+                    assert abs(entries[k, l] - ref) <= 1e-12 * scale, (block, k, l)
+
     def test_block_matrices_symmetry(self, gp03):
         for block in ("++", "--"):
             blk = kernel_block_matrix(gp03, block, 12)
@@ -321,6 +339,13 @@ class TestMeixnerKernel:
                 mk = meixner_kernel(big_n, alpha, xi, k + big_n, l + big_n)
                 assert hk == pytest.approx(mk, rel=1e-10)
 
+    def test_meixner_block_is_the_point_route_bitwise(self):
+        gp = GrandParams(ZParams.meixner(3, 0.5), 0.4)
+        block = kernel_block_matrix(gp, "++", 12).entries
+        for k in range(12):
+            for l in range(12):
+                assert block[k, l] == hyper_kernel(point(1, k), point(1, l), gp), (k, l)
+
     def test_meixner_mode_exposes_only_plus_plus(self):
         gp = GrandParams(ZParams.meixner(3, 0.5), 0.4)
         with pytest.raises(AdmissibilityError):
@@ -360,6 +385,41 @@ class TestWhittakerKernel:
         assert whittaker_kernel(-x, -x, real_pair) == pytest.approx(
             whittaker_kernel(-x, -x - 1e-6, real_pair), rel=1e-5
         )
+
+    @pytest.mark.parametrize("zp", [ZParams(0.5, 1.0 / 3.0), ZParams(0.5 + 1.5j, 0.5 - 1.5j)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_diagonal_matches_mpmath_derivative(self, zp, sign):
+        # Reference: Q P' - P Q' with both derivatives taken by mpmath.diff at 30 digits.
+        with mpmath.workdps(30):
+            z, z_prime = mpmath.mpc(zp.z), mpmath.mpc(zp.z_prime)
+            t = mpmath.re(z * z_prime)
+            g = mpmath.re(mpmath.gamma(1 + sign * z) * mpmath.gamma(1 + sign * z_prime))
+            kappa = mpmath.re(sign * (z + z_prime) + 1) / 2
+            mu = (z - z_prime) / 2
+
+            def component(power, shift):
+                return lambda y: mpmath.re(
+                    t**power / mpmath.sqrt(g * y) * mpmath.whitw(kappa + shift, mu, y)
+                )
+
+            big_p, big_q = component(0.25, 0), component(0.75, -1)
+            for x in (0.4, 1.3, 5.0):
+                ref = float(big_q(x) * mpmath.diff(big_p, x) - big_p(x) * mpmath.diff(big_q, x))
+                value = whittaker_kernel(sign * x, sign * x, zp)
+                assert abs(value - ref) <= 1e-12 * abs(ref), x
+
+    def test_diagonal_makes_three_whittaker_calls(self, real_pair, monkeypatch):
+        original, calls = kernels.whittaker_w, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "whittaker_w", counted)
+        for sign in (1, -1):
+            calls.clear()
+            assert math.isfinite(whittaker_kernel(sign * 1.3, sign * 1.3, real_pair))
+            assert len(calls) == 3
 
     def test_components_real_for_conjugate_pair(self, complex_pair):
         for s in ("+", "-"):
