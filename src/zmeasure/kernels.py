@@ -20,7 +20,10 @@ sum one Pfaff series per hypergeometric factor.  Whole blocks come from a
 backward recurrence in the lower parameter (:func:`gauss_2f1_columns`), so a
 table costs O(size) rather than O(size / (1 - xi)).  Both routes take
 sqrt(psi) as exp(log(psi) / 2) and never divide by it, so P and Q stay
-finite where psi underflows.
+finite where psi underflows.  Every truncation stops on a certificate, not
+on a fixed count: each series on its geometric tail bound, each table and
+transform TABLE_MARGIN rows past :func:`decay_certificate`.  So tables and
+blocks reach xi = 0.9999 (about 480000 rows) and single entries xi = 0.99999.
 
 Diagonal entries of the '++' and '--' blocks are defined by a removable
 singularity; the load-bearing route here is the convergent series coming from
@@ -41,7 +44,6 @@ import numpy as np
 from .measures import AdmissibilityError, GrandParams, ZParams
 from .partitions import ConfigurationError, _as_half_integer
 from .specfun import (
-    ConvergenceError,
     DomainError,
     PoleError,
     _is_nonpositive_integer,
@@ -196,23 +198,35 @@ def pq(sign, u: float, gp: GrandParams) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def decay_certificate(gp: GrandParams, ratio: float = DECAY_CERTIFICATE_RATIO,
-                      cap: int = 200_000) -> int:
-    """Smallest index m with psi(+,m) and psi(-,m) below ratio * psi(.,0).
+def decay_certificate(gp: GrandParams) -> int:
+    """Smallest index m with psi(+,m) and psi(-,m) below DECAY_CERTIFICATE_RATIO * psi(.,0).
 
-    Uses the exact one-step recurrence of psi, so no Gamma evaluations are
-    needed; beyond this index matrix truncation tails are negligible.
+    Runs the exact one-step recurrence of psi in log space, so no Gamma
+    evaluations are needed and nothing under- or overflows, over chunks of
+    indices: the first sized by where xi^m alone falls below the ratio, at
+    most 2^16.  A factor that vanishes (psi(-) of meixner-mode parameters,
+    zero beyond z') drops its log weight to -inf for good.  Beyond this index
+    matrix truncation tails are negligible.
     """
     zp = gp.zp
     z, z_prime, xi = zp.z, zp.z_prime, gp.xi
-    rel_plus = rel_minus = 1.0
-    for k in range(cap):
-        if rel_plus < ratio and rel_minus < ratio:
-            return k
-        denom = (k + 1.0) * (k + 1.0)
-        rel_plus *= abs(xi * (k + 1 + z) * (k + 1 + z_prime)) / denom
-        rel_minus *= abs(xi * (k + 1 - z) * (k + 1 - z_prime)) / denom
-    raise ConvergenceError(f"psi decay certificate not reached within {cap} indices")
+    log_ratio = math.log(DECAY_CERTIFICATE_RATIO)
+    size = min(max(64, math.ceil(log_ratio / math.log(xi))), 1 << 16)
+    log_plus = log_minus = 0.0  # log psi(., start) / psi(., 0)
+    start = 0
+    while True:
+        k1 = np.arange(start + 1, start + size + 1, dtype=np.float64)
+        denom = k1 * k1
+        with np.errstate(divide="ignore"):
+            steps_plus = np.log(np.abs(xi * (k1 + z) * (k1 + z_prime)) / denom)
+            steps_minus = np.log(np.abs(xi * (k1 - z) * (k1 - z_prime)) / denom)
+        cum_plus = log_plus + np.cumsum(steps_plus)  # log ratios at start+1 .. start+size
+        cum_minus = log_minus + np.cumsum(steps_minus)
+        hit = np.flatnonzero((cum_plus < log_ratio) & (cum_minus < log_ratio))
+        if hit.size:
+            return start + 1 + int(hit[0])
+        log_plus, log_minus = cum_plus[-1], cum_minus[-1]
+        start += size
 
 
 @dataclass(frozen=True)
@@ -328,21 +342,24 @@ def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
 # The hypergeometric kernel
 
 
-DIAG_CHUNK = 256  # rows of ks per weight matrix in _diag_sums
+DIAG_CHUNK = 256  # most rows of ks per weight matrix in _diag_sums
 
 
 def _diag_sums(sign: int, ks: np.ndarray, tbl: FunctionTable) -> np.ndarray:
     """Rows [sum_j R_(-s)(j) / (k+j+1)^2, sum_j S_(-s)(j) / (k+j+1)^2] for k in ``ks``.
 
-    The weights are formed DIAG_CHUNK rows at a time, so memory stays
-    O(DIAG_CHUNK * table size) however many indices are asked for.
+    The weights are formed at most DIAG_CHUNK rows, and at most as many
+    entries as DIAG_CHUNK rows of the 46040-row table at xi = 0.999, at a
+    time, so memory stays bounded however many indices are asked for and
+    however long the table is.
     """
     other = np.column_stack(tbl.columns(-sign)[:2])
     j = np.arange(tbl.size)
     out = np.empty((len(ks), 2))
-    for start in range(0, len(ks), DIAG_CHUNK):
-        chunk = ks[start:start + DIAG_CHUNK]
-        out[start:start + DIAG_CHUNK] = (1.0 / (chunk[:, None] + j[None, :] + 1.0) ** 2) @ other
+    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // tbl.size))
+    for start in range(0, len(ks), rows):
+        chunk = ks[start:start + rows]
+        out[start:start + rows] = (1.0 / (chunk[:, None] + j[None, :] + 1.0) ** 2) @ other
     return out
 
 
@@ -438,9 +455,11 @@ def kernel_block_matrix(gp: GrandParams, block: str, trunc: int) -> KernelBlock:
 
     The integrable form over (P, Q) columns of the function table, or of the
     point route for the meixner-mode '++' block; a '++' or '--' diagonal comes
-    from the product series.
+    from the product series.  ``trunc`` must be at least 1.
     """
     sx, sy = _block_signs(block)
+    if trunc < 1:
+        raise DomainError(f"trunc must be at least 1, got {trunc}")
     k = np.arange(trunc)
     if gp.zp.meixner_mode:
         if block != "++":
@@ -480,11 +499,12 @@ def kernel_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
 # Series transforms
 
 
-def rhat_shat(sign, u: float, gp: GrandParams, tol: float = 1e-15) -> tuple[float, float]:
+def rhat_shat(sign, u: float, gp: GrandParams) -> tuple[float, float]:
     """The sums Rhat(u) = sum_k R(k)/(u+k+1) and likewise Shat(u).
 
-    The terms decay at the geometric rate xi; u must stay away from the poles
-    at the negative integers -1, -2, ...
+    The terms decay at the geometric rate xi, and the sums run over the
+    function table, which ends TABLE_MARGIN rows past the decay certificate;
+    u must stay away from the poles at the negative integers -1, -2, ...
     """
     s = _sign(sign)
     if u <= -0.5 and abs(u - round(u)) < 1e-8:
@@ -495,12 +515,7 @@ def rhat_shat(sign, u: float, gp: GrandParams, tol: float = 1e-15) -> tuple[floa
     if np.any(np.abs(denom) < 1e-8):
         raise PoleError(f"u = {u} is within 1e-8 of a pole of the transform")
     r_arr, s_arr = tbl.columns(s)[:2]
-    rhat = float(np.sum(r_arr / denom))
-    shat = float(np.sum(s_arr / denom))
-    last = max(abs(r_arr[-1] / denom[-1]), abs(s_arr[-1] / denom[-1]))
-    if last > tol * max(abs(rhat), abs(shat), 1e-300):
-        raise ConvergenceError(f"transform tail above {tol} after {tbl.size} terms")
-    return rhat, shat
+    return float(np.sum(r_arr / denom)), float(np.sum(s_arr / denom))
 
 
 # ---------------------------------------------------------------------------

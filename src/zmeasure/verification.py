@@ -47,7 +47,10 @@ from .measures import (
 )
 from .partitions import Configuration, YoungDiagram, dimension, enumerate_partitions
 from .specfun import (
+    SERIES_TOL,
     PoleError,
+    _is_nonpositive_integer,
+    _series_start_index,
     gauss_2f1_w,
     loggamma,
     meixner_leading_coefficient,
@@ -55,6 +58,7 @@ from .specfun import (
     meixner_polynomial,
     meixner_weight,
     realize,
+    realize_array,
     whittaker_w,
     xi_to_w,
 )
@@ -524,62 +528,90 @@ def _unity_identity(gp: GrandParams, u: float) -> float:
     return realize(combo)
 
 
-def _decomposition_series(
-    gp: GrandParams, u: float, second: bool, cap: int = 600
-) -> float:
-    """Pole-expansion series shared by the two decomposition identities.
+def _decomposition_series(gp: GrandParams, us: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Pole-expansion series of the two decomposition identities at every u in ``us``, in one pass.
 
     First form:  sum_k (a)_k (b)_k xi^k (1-xi)^(a+b-1) / (k!^2 (u+k)) * F(1-a,1-b;k+1;w)
     Second form: sum_k (a)_{k+1}(b)_{k+1} xi^{k+1} (1-xi)^(a+b-1) / (k!^2 (u+k)(k+1)) * F(1-a,1-b;k+2;w)
-    with (a, b) = (-z, -z').
+    with (a, b) = (-z, -z'); the 2F1 values do not depend on u, and the
+    second form at k uses the first form's value at k + 1.  The coefficient
+    ratio (a+k)(b+k) xi / (k+1)^2 is at most r = (1 + xi)/2 from the index
+    :func:`_series_start_index` certifies on; past it the sums stop at the
+    first k where every term is below SERIES_TOL (1 - r)/r of its running total.
     """
     zp = gp.zp
     xi = gp.xi
     a, b = -zp.z, -zp.z_prime
+    us = np.asarray(us, dtype=np.float64)
     prefactor = np.exp((a + b - 1.0) * math.log1p(-xi))
+    r_bar = 0.5 * (1.0 + xi)
+    stop_factor = SERIES_TOL * (1.0 - r_bar) / r_bar
+    k_star = _series_start_index(a, abs(b - 1.0), 1.0, xi)
     coeff = complex(1.0)  # (a)_k (b)_k xi^k / k!^2
-    total = complex(0.0)
-    scale = 1.0
-    small_streak = 0
-    for k in range(cap):
-        if second:
-            coeff_k = coeff * (a + k) * (b + k) * xi / (k + 1.0)
-            f = gauss_2f1_w(1.0 - a, 1.0 - b, k + 2.0, xi)
-            term = coeff_k * f / (u + k)
-        else:
-            f = gauss_2f1_w(1.0 - a, 1.0 - b, k + 1.0, xi)
-            term = coeff * f / (u + k)
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) < 1e-18 * scale:
-            small_streak += 1
-            if small_streak >= 2 and k >= 8:
-                break
-        else:
-            small_streak = 0
+    f = gauss_2f1_w(1.0 - a, 1.0 - b, 1.0, xi)  # F(1-a, 1-b; k+1; w)
+    first = np.zeros(len(us), dtype=complex)
+    second = np.zeros(len(us), dtype=complex)
+    k = 0
+    while True:
+        f_next = gauss_2f1_w(1.0 - a, 1.0 - b, k + 2.0, xi)
+        term_first = coeff * f / (us + k)
+        term_second = coeff * (a + k) * (b + k) * xi / (k + 1.0) * f_next / (us + k)
+        first += term_first
+        second += term_second
+        if (
+            k >= k_star
+            and (np.abs(term_first) <= stop_factor * np.abs(first)).all()
+            and (np.abs(term_second) <= stop_factor * np.abs(second)).all()
+        ):
+            return realize_array(prefactor * first), realize_array(prefactor * second)
         coeff *= (a + k) * (b + k) * xi / ((k + 1.0) * (k + 1.0))
-    return realize(prefactor * total)
+        f = f_next
+        k += 1
+
+
+def _near_pole(u: float, zp: ZParams) -> bool:
+    """Whether u is within 1e-3 of an integer or of a pole of psi(-, -u-1),
+    where u + z or u + z' is a nonnegative integer."""
+    return abs(u - round(u)) < 1e-3 or any(
+        _is_nonpositive_integer(-(u + z), tol=1e-3) for z in (zp.z, zp.z_prime)
+    )
+
+
+def _default_u_grid(zp: ZParams) -> tuple[float, ...]:
+    """DEFAULT_U_GRID, each point near a pole for ``zp`` moved up by 0.05 until it is clear."""
+    grid = []
+    for u in DEFAULT_U_GRID:
+        while _near_pole(u, zp):
+            u = round(u + 0.05, 10)
+        grid.append(u)
+    return tuple(grid)
 
 
 def identity_suite(
-    gp: GrandParams | None = None, u_grid: tuple[float, ...] = DEFAULT_U_GRID
+    gp: GrandParams | None = None, u_grid: tuple[float, ...] | None = None
 ) -> VerificationReport:
-    """Hypergeometric identity checks on a grid of non-integer evaluation points."""
+    """Hypergeometric identity checks on a grid of evaluation points off the poles.
+
+    The default grid is DEFAULT_U_GRID moved off the poles of the pair; a
+    given grid with a point near an integer or a pole of psi(-, -u-1) is
+    refused with :class:`PoleError`.
+    """
     gp = gp or GrandParams(DEFAULT_REAL_PAIR, DEFAULT_XI)
     zp = gp.zp
+    if u_grid is None:
+        u_grid = _default_u_grid(zp)
+    for u in u_grid:
+        if _near_pole(u, zp):
+            raise PoleError(f"grid point {u} is within 1e-3 of an integer or a pole of psi(-, -u-1)")
 
     def build() -> list[CheckCase]:
-        for u in u_grid:
-            if abs(u - round(u)) < 1e-3:
-                raise PoleError(f"grid point {u} too close to an integer")
         cases = []
-        for u in u_grid:
+        series_first, series_second = _decomposition_series(gp, u_grid)
+        for u, rhs1, rhs2 in zip(u_grid, series_first, series_second):
             cases.append(_case(f"product combination equals one, u={u}", _unity_identity(gp, u), 1.0, 1e-12))
             lhs1 = realize(gauss_2f1_w(-zp.z, -zp.z_prime, u + 1.0, gp.xi)) / u
-            rhs1 = _decomposition_series(gp, u, second=False)
             cases.append(_case(f"first decomposition, u={u}", lhs1, rhs1, 1e-12, "rel"))
             lhs2 = 1.0 - realize(gauss_2f1_w(-zp.z, -zp.z_prime, u, gp.xi))
-            rhs2 = _decomposition_series(gp, u, second=True)
             cases.append(_case(f"second decomposition, u={u}", lhs2, rhs2, 1e-12, "rel"))
             for s, label in ((1, "+"), (-1, "-")):
                 rhat, shat = rhat_shat(s, u, gp)
@@ -606,6 +638,7 @@ def operator_identity_check(
 ) -> VerificationReport:
     """Entrywise kernel against the dense resolvent and the block product relations."""
     gp = gp or GrandParams(DEFAULT_REAL_PAIR, 0.3)
+    params = f"{_pair_name(gp.zp)}, xi={gp.xi}, trunc={trunc}"
 
     def build() -> list[CheckCase]:
         cases = []
@@ -614,7 +647,7 @@ def operator_identity_check(
         k_dense = np.linalg.solve((np.eye(2 * trunc) + lmat).T, lmat.T).T
         cases.append(
             _case(
-                f"entrywise kernel vs resolvent of L, trunc={trunc}",
+                f"entrywise kernel vs resolvent of L, {params}",
                 float(np.max(np.abs(k_entry - k_dense))),
                 0.0,
                 tol,
@@ -622,20 +655,13 @@ def operator_identity_check(
         )
         c = k_entry[:trunc, trunc:]
         d = -lmat[trunc:, :trunc]
-        cases.append(
-            _case("block product ++ = CD", float(np.max(np.abs(k_entry[:trunc, :trunc] - c @ d))), 0.0, tol)
-        )
-        cases.append(
-            _case("block product -- = DC", float(np.max(np.abs(k_entry[trunc:, trunc:] - d @ c))), 0.0, tol)
-        )
-        cases.append(
-            _case(
-                "block product -+ = DCD - D",
-                float(np.max(np.abs(k_entry[trunc:, :trunc] - (d @ c @ d - d)))),
-                0.0,
-                tol,
-            )
-        )
+        for name, block, product in (
+            ("++ = CD", k_entry[:trunc, :trunc], c @ d),
+            ("-- = DC", k_entry[trunc:, trunc:], d @ c),
+            ("-+ = DCD - D", k_entry[trunc:, :trunc], d @ c @ d - d),
+        ):
+            gap = float(np.max(np.abs(block - product)))
+            cases.append(_case(f"block product {name}, {params}", gap, 0.0, tol))
         # Conjugated closed forms of the half-infinite products (off-diagonal).
         tbl = function_table(gp, trunc)
         root_p = np.sqrt(tbl.psi_plus[:trunc])
@@ -662,13 +688,15 @@ def operator_identity_check(
                     tbl.psi_minus[i] * tbl.psi_plus[j] * (i + j + 1.0)
                 )
                 err_wnw = max(err_wnw, abs(wnw[i, j] - closed))
-        cases.append(_case(f"NW closed form, indices < {small}", err_nw, 0.0, tol))
-        cases.append(_case(f"WN closed form, indices < {small}", err_wn, 0.0, tol))
-        cases.append(_case(f"WNW - W closed form, indices < {small}", err_wnw, 0.0, tol))
+        cases.append(_case(f"NW closed form, indices < {small}, {params}", err_nw, 0.0, tol))
+        cases.append(_case(f"WN closed form, indices < {small}, {params}", err_wn, 0.0, tol))
+        cases.append(_case(f"WNW - W closed form, indices < {small}, {params}", err_wnw, 0.0, tol))
         for k in range(11):
             series = k_entry[k, k]
             deriv = hyper_kernel_diag_derivative(1, k, gp)
-            cases.append(_case(f"diagonal series vs derivative route, k={k}", series, deriv, 1e-7, "rel"))
+            cases.append(
+                _case(f"diagonal series vs derivative route, k={k}, {params}", series, deriv, 1e-7, "rel")
+            )
         return cases
 
     return _timed("operator", tol, build)
@@ -679,16 +707,25 @@ def meixner_check(
     alpha: float = 0.5,
     xi: float = 0.4,
     grid: int = 10,
-    proj_size: int = 100,
+    proj_size: int | None = None,
 ) -> VerificationReport:
     """Degeneration of the '++' block to the Meixner projection kernel, plus
-    projection and orthogonality checks for the Meixner system itself."""
+    projection and orthogonality checks for the Meixner system itself.
+
+    The norm sums run over k below k_cut, N past the decay certificate of
+    the degenerate pair (z, z') = (N + alpha, N), and ``proj_size`` defaults
+    to k_cut: psi(+, k - N) is the Meixner weight at k times a polynomial of
+    degree 2N, so it decays with the terms of those sums.
+    """
 
     params = f"N={big_n}, alpha={alpha}, xi={xi}"
+    gp = GrandParams(ZParams.meixner(big_n, alpha), xi)
+    k_cut = decay_certificate(gp) + big_n
+    if proj_size is None:
+        proj_size = k_cut
 
     def build() -> list[CheckCase]:
         cases = []
-        gp = GrandParams(ZParams.meixner(big_n, alpha), xi)
         worst = worst_cd = 0.0
         for k in range(grid + 1):
             for l in range(grid + 1):
@@ -707,7 +744,6 @@ def meixner_check(
         cases.append(
             _case(f"idempotence residual, {params}", float(np.max(np.abs(mat @ mat - mat))), 0.0, 1e-8)
         )
-        k_cut = 400
         for n in range(4):
             total = sum(
                 meixner_polynomial(n, k, alpha, xi) ** 2 * meixner_weight(k, alpha, xi)

@@ -52,6 +52,12 @@ class TestKernelCommand:
         assert payload["schema"] == "zmeasure.kernel/1"
         assert payload["block"] == "--"
 
+    @pytest.mark.parametrize("block", ["++", "+-"])
+    def test_empty_truncation_refused(self, capsys, block):
+        code, out, err = run(capsys, "kernel", "--block", block, "--trunc", "0")
+        assert code == 2 and out == ""
+        assert err == "error: trunc must be at least 1, got 0\n"
+
     def test_complex_parameters(self, capsys):
         code, out, _ = run(
             capsys, "kernel", "--z", "0.5+1.5i", "--zp", "0.5-1.5i", "--trunc", "3"
@@ -103,6 +109,10 @@ class TestVerifyCommand:
         assert len(sums) == 18 and all(label.endswith("pair (0.5+1.5i, 0.5-1.5i)") for label in sums)
         assert weights == ["factored vs direct grand-ensemble weight, pair (0.5+1.5i, 0.5-1.5i), xi=0.3, n <= 18"]
 
+    def test_identities_suite_for_negative_pair(self, capsys):
+        code, _out, err = run(capsys, "verify", "--suite", "identities", "--z", "-0.4", "--zp", "-0.7")
+        assert code == 0, err
+
     def test_usage_error_exit_code(self, capsys):
         code, _out, _err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -149,6 +159,12 @@ class TestShortcutCommands:
     def test_meixner_bad_alpha(self, capsys):
         code, _out, err = run(capsys, "meixner", "--alpha", "-2.0")
         assert code == 2
+
+    @pytest.mark.parametrize("pair", [(), ("--z", "0.5+1.5i", "--zp", "0.5-1.5i")])
+    def test_scaling_to_xi_0_99999(self, capsys, pair):
+        code, out, err = run(capsys, "scaling", *pair, "--xi-list", "0.9,0.99,0.999,0.9999,0.99999")
+        assert code == 0, err
+        assert len(json.loads(out)[0]["cases"]) == 25
 
     def test_scaling_quick(self, capsys):
         code, out, err = run(capsys, "scaling", "--xi-list", "0.9,0.99")

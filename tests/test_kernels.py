@@ -7,6 +7,7 @@ import pytest
 
 import zmeasure.kernels as kernels
 from zmeasure.kernels import (
+    BLOCKS,
     DIAG_CHUNK,
     FunctionTable,
     _diag_series,
@@ -44,6 +45,53 @@ TABLE_FAMILIES = {
 
 def point(sign: int, k: int) -> Fraction:
     return sign * Fraction(2 * k + 1, 2)
+
+
+def _reference_entry(zp: ZParams, xi: float, sx: int, k: int, sy: int, l: int) -> tuple[float, float]:
+    """Off-diagonal K(sx(k+1/2), sy(l+1/2)) and the size of its terms, from mpmath's
+    hyp2f1 (its own continuation to xi/(xi-1)) and loggamma at 30 digits."""
+
+    def pq_ref(s: int, n: int):
+        z, z_prime, x = mpmath.mpc(zp.z), mpmath.mpc(zp.z_prime), mpmath.mpf(xi)
+        t = mpmath.re(z * z_prime)
+        log_psi = (
+            mpmath.log(t) / 2
+            + (n + mpmath.mpf(1) / 2) * mpmath.log(x)
+            + s * (z + z_prime) * mpmath.log1p(-x)
+            + mpmath.loggamma(n + 1 + s * z)
+            + mpmath.loggamma(n + 1 + s * z_prime)
+            - mpmath.loggamma(1 + s * z)
+            - mpmath.loggamma(1 + s * z_prime)
+            - 2 * mpmath.loggamma(n + 1)
+        )
+        root = mpmath.exp(log_psi / 2)
+        w = x / (x - 1)
+        p = root * mpmath.hyp2f1(-s * z, -s * z_prime, n + 1, w)
+        f2 = mpmath.hyp2f1(1 - s * z, 1 - s * z_prime, n + 2, w)
+        q = mpmath.sqrt(t * x) / (1 - x) * root * f2 / (n + 1)
+        return mpmath.re(p), mpmath.re(q)
+
+    with mpmath.workdps(30):
+        (pk, qk), (pl, ql) = pq_ref(sx, k), pq_ref(sy, l)
+        if sx == sy:
+            return float((pk * ql - qk * pl) / (k - l)), float((abs(pk * ql) + abs(qk * pl)) / abs(k - l))
+        return (
+            float(sx * (pk * pl + qk * ql) / (k + l + 1)),
+            float((abs(pk * pl) + abs(qk * ql)) / (k + l + 1)),
+        )
+
+
+def _product_loop_certificate(gp: GrandParams, ratio: float = 1e-16) -> int:
+    """The decay certificate by the plain one-step product loop over psi's recurrence."""
+    z, z_prime, xi = gp.zp.z, gp.zp.z_prime, gp.xi
+    rel_plus = rel_minus = 1.0
+    k = 0
+    while not (rel_plus < ratio and rel_minus < ratio):
+        denom = (k + 1.0) * (k + 1.0)
+        rel_plus *= abs(xi * (k + 1 + z) * (k + 1 + z_prime)) / denom
+        rel_minus *= abs(xi * (k + 1 - z) * (k + 1 - z_prime)) / denom
+        k += 1
+    return k
 
 
 class TestHalfIntegerIndex:
@@ -154,6 +202,24 @@ class TestDecayCertificate:
         assert psi("+", m, gp03) < 1e-16 * psi("+", 0, gp03)
         assert psi("-", m, gp03) < 1e-16 * psi("-", 0, gp03)
 
+    @pytest.mark.parametrize(
+        "zp",
+        [
+            ZParams(0.5, 1.0 / 3.0),
+            ZParams(0.05, 0.95),
+            ZParams(-0.4, -0.7),
+            ZParams(-0.95, -0.05),
+            ZParams(0.5 + 1.5j, 0.5 - 1.5j),
+            ZParams(-1.5 + 10.0j, -1.5 - 10.0j),
+            ZParams(2.0 + 0.1j, 2.0 - 0.1j),
+            ZParams.meixner(3, 0.5),
+        ],
+    )
+    def test_matches_one_step_product_loop(self, zp):
+        for xi in (0.01, 0.2, 0.5, 0.9, 0.98, 0.999):
+            gp = GrandParams(zp, xi)
+            assert decay_certificate(gp) == _product_loop_certificate(gp), xi
+
     def test_table_invariants(self, gp03):
         tbl = function_table(gp03, 30)
         assert tbl.size >= 30 and tbl.decay_index > 0
@@ -207,6 +273,15 @@ class TestFunctionTable:
         for k in (0, DIAG_CHUNK - 2, DIAG_CHUNK - 1, DIAG_CHUNK, DIAG_CHUNK + 1, trunc - 1):
             ref = _diag_series(1, k, gp)
             assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("trunc", [0, -1])
+    def test_block_refuses_empty_truncation(self, block, trunc):
+        gp = GrandParams(ZParams(0.25, 0.75), 0.37)  # no other test builds this table
+        misses = kernels._cached_table.cache_info().misses
+        with pytest.raises(DomainError, match=f"trunc must be at least 1, got {trunc}"):
+            kernel_block_matrix(gp, block, trunc)
+        assert kernels._cached_table.cache_info().misses == misses
 
     def test_point_where_psi_underflows(self, gp02):
         assert psi("+", 500, gp02) == 0.0
@@ -288,6 +363,38 @@ class TestHyperKernel:
         assert np.max(np.abs(kmat[:trunc, :trunc] - c @ d)) <= 1e-10
         assert np.max(np.abs(kmat[trunc:, trunc:] - d @ c)) <= 1e-10
         assert np.max(np.abs(kmat[trunc:, :trunc] - (d @ c @ d - d))) <= 1e-10
+
+
+class TestNearOne:
+    """Truncations from their certificates near xi = 1, against mpmath: a table
+    of 479778 rows at xi = 0.9999 and 2F1 series of about 4 million terms at
+    xi = 0.99999."""
+
+    def test_blocks_at_xi_0_9999(self, real_pair):
+        xi = 0.9999
+        gp = GrandParams(real_pair, xi)
+        for block in ("+-", "++"):
+            entries = kernel_block_matrix(gp, block, 50).entries
+            sx, sy = kernels._block_signs(block)
+            for k, l in ((3, 7), (40, 2), (49, 48)):
+                value, scale = _reference_entry(real_pair, xi, sx, k, sy, l)
+                assert abs(entries[k, l] - value) <= 1e-9 * scale, (block, k, l)
+        diag = np.diag(entries)
+        assert diag.min() >= 0.0 and diag.max() <= 1.0
+        assert function_table(gp).size == 479778
+        # that many rows bound the diagonal weights to 24 rows at a time: both sides of each seam
+        for k in (0, 23, 24, 47, 48, 49):
+            ref = _diag_series(1, k, gp)
+            assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("zp", [ZParams(0.5, 1.0 / 3.0), ZParams(0.5 + 1.5j, 0.5 - 1.5j)])
+    def test_points_at_xi_0_99999(self, zp):
+        xi = 0.99999
+        gp = GrandParams(zp, xi)
+        k, l = math.floor(1.0 / (1.0 - xi)), math.floor(2.0 / (1.0 - xi))
+        for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+            value, scale = _reference_entry(zp, xi, sx, k, sy, l)
+            assert abs(hyper_kernel(point(sx, k), point(sy, l), gp) - value) <= 1e-9 * scale, (sx, sy)
 
 
 class TestTransforms:

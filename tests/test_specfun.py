@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zmeasure.specfun import (
+    ConvergenceError,
     DomainError,
     PoleError,
     RealizationError,
@@ -145,6 +147,19 @@ class TestGauss2F1:
     def test_direct_series_domain(self):
         with pytest.raises(DomainError):
             gauss_2f1_direct(0.5, 0.7, 1.0, -1.5)
+
+    def test_overflowing_series_raises_at_once(self):
+        start = time.perf_counter()
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            gauss_2f1_direct(1e200, 1e200, 1.0, 0.5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_series_runs_to_its_certificate_near_one(self):
+        # about 3.7 million terms
+        xi = 0.99999
+        ours = realize(gauss_2f1_w(-0.5, -1.0 / 3.0, 1.0, xi))
+        ref = float(mpmath.hyp2f1(-0.5, -1.0 / 3.0, 1.0, xi / (xi - 1.0)))
+        assert ours == pytest.approx(ref, rel=1e-10)
 
 
 class TestGauss2F1Columns:

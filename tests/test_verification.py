@@ -237,6 +237,35 @@ class TestSuites:
         report = identity_suite(gp02)
         assert report.passed, report.failures()
 
+    def test_identity_suite_default_grid_avoids_poles(self, negative_pair):
+        # u + z or u + z' a nonnegative integer is a pole of psi(-, -u-1): 0.4 and 3.7 here
+        report = identity_suite(GrandParams(negative_pair, 0.2))
+        assert report.passed, report.failures()
+        labels = [c.label for c in report.cases if c.label.startswith("first decomposition")]
+        assert labels == [f"first decomposition, u={u}" for u in (0.45, 1.3, 2.3, 3.75, 5.9)]
+
+    @pytest.mark.parametrize("xi", [0.2, 0.5, 0.9])
+    def test_identity_suite_negative_pair_off_its_poles(self, negative_pair, xi):
+        report = identity_suite(GrandParams(negative_pair, xi), u_grid=(0.45, 1.3, 2.45, 3.85, 5.9))
+        assert report.passed, report.failures()
+
+    @pytest.mark.parametrize("u", [0.4, 3.7, 3.7005])
+    def test_identity_suite_refuses_pole_points(self, negative_pair, u):
+        from zmeasure.specfun import PoleError
+
+        with pytest.raises(PoleError):
+            identity_suite(GrandParams(negative_pair, 0.2), u_grid=(1.3, u))
+
+    def test_identity_suite_near_one(self, real_pair):
+        report = identity_suite(GrandParams(real_pair, 0.98))
+        assert report.passed, report.failures()
+
+    def test_identities_operator_cases_name_their_parameters(self, complex_pair):
+        (report,) = run_suite("identities", complex_pair, 0.4)
+        operator = [c.label for c in report.cases if "u=" not in c.label]
+        assert len(operator) == 18
+        assert all(label.endswith("pair (0.5, 0.333333), xi=0.3, trunc=80") for label in operator)
+
     def test_normalization_suite(self):
         report = normalization_check(n_max=6)
         assert report.passed, report.failures()
@@ -248,6 +277,11 @@ class TestSuites:
         report = meixner_check()
         assert report.passed, report.failures()
         assert any(c.label.startswith("Christoffel-Darboux vs rank-3 sum") for c in report.cases)
+
+    @pytest.mark.parametrize("xi", [0.8, 0.9, 0.95])
+    def test_meixner_suite_near_one(self, xi):
+        (report,) = run_suite("meixner", None, xi)
+        assert report.passed, report.failures()
 
     @pytest.mark.parametrize(
         "zp,xi",
