@@ -56,11 +56,8 @@ from .specfun import (
     DomainError,
     PoleError,
     RealizationError,
-    gauss_2f1_direct,
     gauss_2f1_w,
-    gauss_2f1_w_dc,
     meixner_polynomial,
-    pochhammer,
     realize,
     whittaker_w,
 )

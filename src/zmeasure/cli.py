@@ -153,12 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs one of the built-in check suites: measure normalization and "
         "spot values, kernel-vs-brute-force oracle, the determinant identity "
         "det(1+L) = (1-xi)^(-t), hypergeometric identity grids, the Meixner "
-        "degeneration, and the Whittaker scaling limit. Exit status 1 if any case fails.",
+        "degeneration, and the Whittaker scaling limit. Exit status 1 if any case fails. "
+        "Without --z/--zp/--xi each suite runs its built-in parameter sets; a suite given "
+        "a value it cannot use exits 2: a pair for meixner, xi for scaling, either for all.",
     )
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    _add_param_options(p_verify)
-    p_verify.add_argument("--default-params", action="store_true",
-                          help="ignore --z/--zp/--xi and use each suite's built-in parameter sets")
+    p_verify.add_argument("--z", type=_parse_complex,
+                          help="first parameter z (real or 'a+bi'), given together with --zp")
+    p_verify.add_argument("--zp", type=_parse_complex,
+                          help="second parameter z', given together with --z")
+    p_verify.add_argument("--xi", type=float, help="mixing parameter in (0, 1)")
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -232,10 +236,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.default_params:
-        reports = run_suite(args.suite)
-    else:
-        reports = run_suite(args.suite, _zparams(args), args.xi)
+    if (args.z is None) != (args.zp is None):
+        raise ValueError("--z and --zp must be given together")
+    reports = run_suite(args.suite, None if args.z is None else _zparams(args), args.xi)
     payload = [r.to_dict() for r in reports]
     if args.out:
         _emit(json.dumps(payload, indent=2), args.out)

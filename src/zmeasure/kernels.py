@@ -26,10 +26,14 @@ transform TABLE_MARGIN rows past :func:`decay_certificate`.  So tables and
 blocks reach xi = 0.9999 (about 480000 rows) and single entries xi = 0.99999.
 
 Diagonal entries of the '++' and '--' blocks are defined by a removable
-singularity; the load-bearing route here is the convergent series coming from
-the product form of the block (K++ = CD, K-- = DC), with a derivative-based
-route kept as an independent cross-check.  The Whittaker diagonal is the
-closed derivative of the integrable form.
+singularity; they come from the convergent series of the product form of the
+block (K++ = CD, K-- = DC).  The operator suite checks them against the
+derivative of the integrable form, evaluated in mpmath.  The Whittaker
+diagonal is the closed derivative of the integrable form.
+
+Meixner-mode parameters (z = N + alpha, z' = N) expose only the '++' block of
+the lattice kernel and only positive points of the continuum kernel; every
+other request raises AdmissibilityError (:func:`_require_meixner_block`).
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .specfun import (
     _is_nonpositive_integer,
     gauss_2f1_columns,
     gauss_2f1_w,
-    gauss_2f1_w_dc,
     loggamma,
     meixner_norm,
     meixner_polynomial,
@@ -87,6 +90,12 @@ def half_integer_index(x) -> tuple[int, int]:
     except ConfigurationError as exc:
         raise DomainError(str(exc)) from exc
     return (1 if f > 0 else -1), (abs(f.numerator) - 1) // 2
+
+
+def _require_meixner_block(zp: ZParams, sx: int, sy: int) -> None:
+    """Raise AdmissibilityError for meixner-mode parameters unless both signs are positive."""
+    if zp.meixner_mode and not (sx > 0 and sy > 0):
+        raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
 
 
 def _integrable_form(sx, px, qx, ax, sy, py, qy, ay):
@@ -231,27 +240,24 @@ def decay_certificate(gp: GrandParams) -> int:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Batch of psi, R, S, P, Q values at k = 0..size-1 for both signs."""
+    """sqrt(psi), P and Q at k = 0..size-1 for both signs; R and S follow from them."""
 
     gp: GrandParams
     size: int
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
+    root_plus: np.ndarray
+    root_minus: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
     q_plus: np.ndarray
     q_minus: np.ndarray
-    decay_index: int
 
     def columns(self, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The R, S, P and Q columns of one sign."""
+        """The R, S, P and Q columns of one sign, with R = sqrt(psi) P and S = sqrt(psi) Q."""
         if sign > 0:
-            return self.r_plus, self.s_plus, self.p_plus, self.q_plus
-        return self.r_minus, self.s_minus, self.p_minus, self.q_minus
+            root, p, q = self.root_plus, self.p_plus, self.q_plus
+        else:
+            root, p, q = self.root_minus, self.p_minus, self.q_minus
+        return p * root, q * root, p, q
 
     @classmethod
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
@@ -260,9 +266,9 @@ class FunctionTable:
         log psi comes from :func:`_log_psi` over the whole index array, the
         formula the point route uses, and the hypergeometric factors from
         :func:`gauss_2f1_columns`.  P and Q are sqrt(psi) = exp(log(psi) / 2)
-        times those factors, and R, S are sqrt(psi) times P, Q: nothing
-        divides by sqrt(psi), so psi may underflow to 0 while P and Q stay
-        accurate.
+        times those factors, and :meth:`columns` gives R, S as sqrt(psi)
+        times P, Q: nothing divides by sqrt(psi), so psi may underflow to 0
+        while P and Q stay accurate.
         """
         zp = gp.zp
         if zp.meixner_mode:
@@ -271,8 +277,8 @@ class FunctionTable:
         xi = gp.xi
         k = np.arange(n, dtype=np.float64)
         g_scale = math.sqrt(zp.t * xi) / (1.0 - xi) / (k + 1.0)
-        cols = {}
-        for label, s in (("plus", 1), ("minus", -1)):
+        cols = []
+        for s in (1, -1):
             log_psi = _log_psi(s, k, gp)
             phase = realize_array(np.exp(1j * log_psi.imag))
             root = np.exp(0.5 * log_psi.real)
@@ -283,10 +289,9 @@ class FunctionTable:
             q = root * g_scale * realize_array(f2)
             if not (np.isfinite(p).all() and np.isfinite(q).all()):
                 raise ArithmeticError("P/Q table must be finite")
-            cols[label] = (root * root, p * root, q * root, p, q)
-        pp, rp, sp, pp_n, qp_n = cols["plus"]
-        pm, rm, sm, pm_n, qm_n = cols["minus"]
-        return cls(gp, n, pp, pm, rp, rm, sp, sm, pp_n, pm_n, qp_n, qm_n, decay_certificate(gp))
+            cols.append((root, p, q))
+        (root_p, p_p, q_p), (root_m, p_m, q_m) = cols
+        return cls(gp, n, root_p, root_m, p_p, p_m, q_p, q_m)
 
 
 def _table_rows(gp: GrandParams, size: int | None) -> int:
@@ -327,8 +332,8 @@ def l_entry(x, y, gp: GrandParams) -> float:
 def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
     """Truncated L as a 2N x 2N array: rows/cols 0..N-1 positive, N..2N-1 negative."""
     tbl = function_table(gp, trunc)
-    root_p = np.sqrt(tbl.psi_plus[:trunc])
-    root_m = np.sqrt(tbl.psi_minus[:trunc])
+    root_p = tbl.root_plus[:trunc]
+    root_m = tbl.root_minus[:trunc]
     k = np.arange(trunc)
     w = 1.0 / (k[:, None] + k[None, :] + 1.0)
     a = root_p[:, None] * w * root_m[None, :]
@@ -382,29 +387,6 @@ def _diag_series(sign: int, k: int, gp: GrandParams) -> float:
     return float(rk * r_sum + sk * s_sum)
 
 
-def hyper_kernel_diag_derivative(sign, k: int, gp: GrandParams) -> float:
-    """Diagonal entry by the removable-singularity (derivative) route.
-
-    Writing P = sqrt(psi) H and Q = sqrt(psi) G, the sqrt(psi) derivatives
-    cancel and the limit is psi * (G H' - H G'), where the primes are
-    derivatives of the hypergeometric factors in their lower parameter.
-    Used as an independent cross-check of the series route.
-    """
-    s = _sign(sign)
-    zp = gp.zp
-    xi = gp.xi
-    a1, b1 = -s * zp.z, -s * zp.z_prime
-    a2, b2 = 1 - s * zp.z, 1 - s * zp.z_prime
-    c = math.sqrt(zp.t * xi) / (1.0 - xi)
-    h = realize(gauss_2f1_w(a1, b1, k + 1.0, xi))
-    dh = realize(gauss_2f1_w_dc(a1, b1, k + 1.0, xi))
-    f2 = realize(gauss_2f1_w(a2, b2, k + 2.0, xi))
-    df2 = realize(gauss_2f1_w_dc(a2, b2, k + 2.0, xi))
-    g = c * f2 / (k + 1.0)
-    dg = c * (df2 / (k + 1.0) - f2 / (k + 1.0) ** 2)
-    return psi(s, k, gp) * (g * dh - h * dg)
-
-
 def hyper_kernel(x, y, gp: GrandParams) -> float:
     """The correlation kernel K(x, y) at half-integer points.
 
@@ -413,8 +395,7 @@ def hyper_kernel(x, y, gp: GrandParams) -> float:
     """
     sx, k = half_integer_index(x)
     sy, l = half_integer_index(y)
-    if gp.zp.meixner_mode and not (sx > 0 and sy > 0):
-        raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
+    _require_meixner_block(gp.zp, sx, sy)
     if sx == sy and k == l:
         return _diag_series(sx, k, gp)
     return _integrable_form(sx, *pq(sx, k, gp), k + 0.5, sy, *pq(sy, l, gp), l + 0.5)
@@ -460,10 +441,9 @@ def kernel_block_matrix(gp: GrandParams, block: str, trunc: int) -> KernelBlock:
     sx, sy = _block_signs(block)
     if trunc < 1:
         raise DomainError(f"trunc must be at least 1, got {trunc}")
+    _require_meixner_block(gp.zp, sx, sy)
     k = np.arange(trunc)
     if gp.zp.meixner_mode:
-        if block != "++":
-            raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
         cols = {1: np.array([pq(1, i, gp) for i in range(trunc)]).T}
         diag = [_diag_series(1, i, gp) for i in range(trunc)]
     else:
@@ -603,11 +583,13 @@ def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
 
     The integrable form of (P, Q) = (whittaker_p, whittaker_q) at |u| and
     |v|, with the signs of u and v choosing the half-lines; the same-sign
-    diagonal is its closed derivative.
+    diagonal is its closed derivative.  Meixner-mode parameters allow only
+    u, v > 0.
     """
     if u == 0.0 or v == 0.0:
         raise DomainError("the kernel is defined on nonzero reals")
     su, sv = (1 if u > 0 else -1), (1 if v > 0 else -1)
+    _require_meixner_block(zp, su, sv)
     x, y = abs(u), abs(v)
     if u == v:
         return _whittaker_diag(su, x, zp)

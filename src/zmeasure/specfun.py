@@ -14,9 +14,9 @@ points use this series.  A whole column F(a, b; c0 + k; w), k = 0..n-1, comes
 from a backward recurrence in c seeded by series values
 (:func:`gauss_2f1_columns`), so it costs O(n) instead of O(n / (1 - xi)).
 
-Also provided: Pochhammer symbols, Meixner polynomials with their weight and
-norm constants, and the Whittaker W function (backed by mpmath under raised
-working precision, since the confluent connection terms cancel like e^x).
+Also provided: Meixner polynomials with their weight and norm constants, and
+the Whittaker W function (backed by mpmath under raised working precision,
+since the confluent connection terms cancel like e^x).
 """
 
 from __future__ import annotations
@@ -67,25 +67,11 @@ def realize_array(values: np.ndarray) -> np.ndarray:
     return values.real.copy()
 
 
-def pochhammer(a: complex, k: int) -> complex:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = complex(1.0)
-    for j in range(k):
-        out *= a + j
-    return out
-
-
 def loggamma(z):
     """Principal log Gamma of a complex scalar, or entrywise of an array."""
     if isinstance(z, np.ndarray):
         return _sp.loggamma(np.asarray(z, dtype=complex))
     return complex(_sp.loggamma(complex(z)))
-
-
-def digamma(z: complex) -> complex:
-    return complex(_sp.digamma(complex(z)))
 
 
 def _is_nonpositive_integer(x: complex, tol: float = 0.0) -> bool:
@@ -117,14 +103,7 @@ def _series_start_index(a: complex, delta: float, c: complex, x_abs: float) -> i
     return max(2, int(math.ceil(m1)), int(math.ceil(m2)), int(math.ceil(c0)) + 2)
 
 
-def _hyp_series(
-    a: complex,
-    b: complex,
-    c: complex,
-    x: complex,
-    n_exact: int | None = None,
-    with_c_derivative: bool = False,
-) -> complex:
+def _hyp_series(a: complex, b: complex, c: complex, x: complex, n_exact: int | None = None) -> complex:
     """Sum the 2F1 series in x until its certified geometric tail is below SERIES_TOL.
 
     Past m_star (:func:`_series_start_index`) the term ratio is at most
@@ -132,9 +111,7 @@ def _hyp_series(
     terms the stop can take; outlasting that count, or a partial sum that is
     not finite, raises :class:`ConvergenceError`.  When ``n_exact`` is given
     the series is known to terminate after n_exact + 1 terms and is summed
-    exactly.  With ``with_c_derivative`` the sum of term * (psi0(b+m) -
-    psi0(b) - psi0(c+m) + psi0(c)) is returned instead, which is the
-    c-derivative when b itself is c plus a constant.
+    exactly.
     """
     a = complex(a)
     b = complex(b)
@@ -144,19 +121,12 @@ def _hyp_series(
     if n_exact is None and x_abs >= 1.0:
         raise DomainError(f"series argument |x| = {x_abs} >= 1 cannot converge")
 
-    if with_c_derivative:
-        dig_b0 = digamma(b)
-        dig_c0 = digamma(c)
-
     if n_exact is not None:
         # Exact finite sum; no convergence machinery needed.
         total = 0.0j
         term = 1.0 + 0.0j
         for m in range(n_exact + 1):
-            if with_c_derivative:
-                total += term * (digamma(b + m) - dig_b0 - digamma(c + m) + dig_c0)
-            else:
-                total += term
+            total += term
             term *= x * (a + m) * (b + m) / ((c + m) * (m + 1))
         return total
 
@@ -165,7 +135,7 @@ def _hyp_series(
     m_star = _series_start_index(a, abs(b - c), c, x_abs)
     m_limit = None  # the last index the ratio bound allows, fixed at the first check past m_star
 
-    total = 1.0 + 0.0j if not with_c_derivative else 0.0j
+    total = 1.0 + 0.0j
     scale = 1.0
     term = 1.0 + 0.0j
     m = 0
@@ -174,16 +144,7 @@ def _hyp_series(
         ms = np.arange(m, m + chunk, dtype=np.float64)
         ratios = x * (a + ms) * (b + ms) / ((c + ms) * (ms + 1.0))
         terms = term * np.cumprod(ratios)  # T_{m+1} .. T_{m+chunk}
-        if with_c_derivative:
-            factors = (
-                _sp.digamma(b + ms + 1.0)
-                - dig_b0
-                - _sp.digamma(c + ms + 1.0)
-                + dig_c0
-            )
-            total += np.sum(terms * factors)
-        else:
-            total += np.sum(terms)
+        total += np.sum(terms)
         term = complex(terms[-1])
         m += chunk
         if not cmath.isfinite(total):
@@ -293,34 +254,6 @@ def gauss_2f1_columns(
         f[bottom : top + 1] = run_f[::-1]
         g[bottom : top + 1] = run_g[::-1]
     return f, g
-
-
-def gauss_2f1_w_dc(a: complex, b: complex, c: complex, xi: float) -> complex:
-    """Derivative in the lower parameter c of F(a, b; c; xi/(xi-1)).
-
-    Obtained by term-wise differentiation of the Pfaff-transformed series; c
-    enters both the (c - b)_m and (c)_m factors, so each term picks up
-    psi0(c-b+m) - psi0(c-b) - psi0(c+m) + psi0(c).
-    """
-    if not 0.0 < xi < 1.0:
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    a, b, n_exact = _termination_order(complex(a), complex(b), complex(c))
-    bb = complex(c) - b
-    if _is_nonpositive_integer(bb) or _is_nonpositive_integer(complex(c)):
-        raise PoleError(
-            "c-derivative undefined here: a digamma factor sits at a nonpositive integer"
-        )
-    s = _hyp_series(a, bb, complex(c), xi, n_exact=n_exact, with_c_derivative=True)
-    return cmath.exp(a * math.log1p(-xi)) * s
-
-
-def gauss_2f1_direct(a: complex, b: complex, c: complex, x: complex) -> complex:
-    """Plain power series for F(a, b; c; x), |x| < 1 (or terminating).
-
-    Kept as an independent summation route for cross-checking the Pfaff path.
-    """
-    a, b, n_exact = _termination_order(complex(a), complex(b), complex(c))
-    return _hyp_series(a, b, complex(c), complex(x), n_exact=n_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class TestVerifyCommand:
     def test_fredholm_suite_passes(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _out, err = run(
-            capsys, "verify", "--suite", "fredholm", "--default-params", "--out", str(out_file)
+            capsys, "verify", "--suite", "fredholm", "--out", str(out_file)
         )
         assert code == 0
         assert "suite fredholm: PASS" in err
@@ -91,7 +91,7 @@ class TestVerifyCommand:
 
     def test_meixner_suite_uses_given_xi(self, capsys):
         code_given, out_given, _ = run(capsys, "verify", "--suite", "meixner", "--xi", "0.7")
-        code_default, out_default, _ = run(capsys, "verify", "--suite", "meixner", "--default-params")
+        code_default, out_default, _ = run(capsys, "verify", "--suite", "meixner")
         assert code_given == code_default == 0
         given, default = json.loads(out_given)[0]["cases"], json.loads(out_default)[0]["cases"]
         assert all("xi=0.7" in c["label"] for c in given)
@@ -116,6 +116,25 @@ class TestVerifyCommand:
     def test_usage_error_exit_code(self, capsys):
         code, _out, _err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (("--suite", "scaling", "--xi", "0.7"), "xi"),
+            (("--suite", "meixner", "--z", "0.9", "--zp", "0.2"), "pair"),
+            (("--suite", "all", "--xi", "0.3"), "xi"),
+            (("--suite", "all", "--z", "0.5", "--zp", "0.25"), "pair"),
+        ],
+    )
+    def test_unusable_value_refused(self, capsys, argv, refused):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: suite {argv[1]!r} cannot use a given {refused}\n"
+
+    def test_half_pair_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "oracle", "--z", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: --z and --zp must be given together\n"
 
 
 class TestSampleCommand:

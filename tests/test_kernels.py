@@ -15,7 +15,6 @@ from zmeasure.kernels import (
     function_table,
     half_integer_index,
     hyper_kernel,
-    hyper_kernel_diag_derivative,
     kernel_block_matrix,
     kernel_matrix,
     l_entry,
@@ -31,7 +30,7 @@ from zmeasure.kernels import (
     whittaker_q,
 )
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams
-from zmeasure.verification import _meixner_kernel_cd
+from zmeasure.verification import _diag_derivative_route, _meixner_kernel_cd
 from zmeasure.specfun import DomainError, PoleError, _reseed_stride, gauss_2f1_w, realize
 
 HALF = Fraction(1, 2)
@@ -222,10 +221,11 @@ class TestDecayCertificate:
 
     def test_table_invariants(self, gp03):
         tbl = function_table(gp03, 30)
-        assert tbl.size >= 30 and tbl.decay_index > 0
-        assert (tbl.psi_plus > 0).all() and (tbl.psi_minus > 0).all()
-        for arr in (tbl.r_plus, tbl.r_minus, tbl.s_plus, tbl.s_minus):
-            assert np.isfinite(arr).all()
+        assert tbl.size >= max(30, decay_certificate(gp03))
+        assert (tbl.root_plus > 0).all() and (tbl.root_minus > 0).all()
+        for sign in (1, -1):
+            for arr in tbl.columns(sign):
+                assert np.isfinite(arr).all()
 
 
 class TestFunctionTable:
@@ -249,8 +249,7 @@ class TestFunctionTable:
     def test_build_near_one(self, real_pair):
         tbl = function_table(GrandParams(real_pair, 0.99))
         assert tbl.size >= 4425
-        for arr in (tbl.psi_plus, tbl.psi_minus, tbl.r_plus, tbl.r_minus, tbl.s_plus,
-                    tbl.s_minus, tbl.p_plus, tbl.p_minus, tbl.q_plus, tbl.q_minus):
+        for arr in (tbl.root_plus, tbl.root_minus, *tbl.columns(1), *tbl.columns(-1)):
             assert np.isfinite(arr).all()
 
     def test_one_table_per_parameter_set(self, gp03):
@@ -316,11 +315,13 @@ class TestHyperKernel:
                 rho = hyper_kernel(point(s, k), point(s, k), gp)
                 assert 0.0 <= rho <= 1.0
 
-    def test_diagonal_series_vs_derivative_route(self, gp03):
-        for k in range(4):
-            series = _diag_series(1, k, gp03)
-            deriv = hyper_kernel_diag_derivative("+", k, gp03)
-            assert series == pytest.approx(deriv, rel=1e-7)
+    def test_diagonal_series_vs_derivative_route(self, gp03, complex_pair):
+        for gp in (gp03, GrandParams(complex_pair, gp03.xi)):
+            for sign in (1, -1):
+                for k in range(4):
+                    series = _diag_series(sign, k, gp)
+                    deriv = _diag_derivative_route(sign, k, gp)
+                    assert series == pytest.approx(deriv, rel=1e-12), (gp.zp, sign, k)
 
     @pytest.mark.parametrize("xi", [0.3, 0.9])
     @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
@@ -416,7 +417,7 @@ class TestTransforms:
     def test_geometric_tail(self, gp02):
         tbl = function_table(gp02)
         u = 1.3
-        terms = tbl.r_plus / (u + np.arange(tbl.size) + 1.0)
+        terms = tbl.columns(1)[0] / (u + np.arange(tbl.size) + 1.0)
         ratios = np.abs(terms[25:31] / terms[24:30])
         assert np.all(np.abs(ratios - 0.2) <= 0.2 * 0.25)
 
@@ -464,6 +465,19 @@ class TestMeixnerKernel:
 
 
 class TestWhittakerKernel:
+    @pytest.mark.parametrize("u, v", [(-1.0, -2.0), (1.0, -2.0), (-1.3, -1.3)])
+    def test_meixner_mode_refuses_negative_points(self, u, v):
+        zp = ZParams.meixner(3, 0.5)
+        with pytest.raises(AdmissibilityError):
+            whittaker_kernel(u, v, zp)
+        su, sv = (1 if u > 0 else -1), (1 if v > 0 else -1)
+        gp = GrandParams(zp, 0.4)
+        with pytest.raises(AdmissibilityError):
+            hyper_kernel(point(su, 1), point(sv, 2), gp)
+        with pytest.raises(AdmissibilityError):
+            kernel_block_matrix(gp, "+-"[su < 0] + "+-"[sv < 0], 4)
+        assert math.isfinite(whittaker_kernel(abs(u), abs(v), zp))
+
     def test_sign_symmetry_grid(self, real_pair):
         pts = (0.7, 1.3, -0.7, -1.9)
         for u in pts:

@@ -1,10 +1,11 @@
+import cmath
 import math
 import time
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zmeasure.specfun import (
@@ -12,22 +13,21 @@ from zmeasure.specfun import (
     DomainError,
     PoleError,
     RealizationError,
+    _hyp_series,
     _reseed_stride,
     gauss_2f1_columns,
-    gauss_2f1_direct,
     gauss_2f1_w,
-    gauss_2f1_w_dc,
     loggamma,
     meixner_leading_coefficient,
     meixner_norm,
     meixner_polynomial,
     meixner_weight,
-    pochhammer,
     realize,
     realize_array,
     whittaker_w,
     xi_to_w,
 )
+from zmeasure.verification import _hyp_w_dc
 
 
 class TestRealize:
@@ -58,22 +58,28 @@ class TestLoggamma:
             assert out == complex(loggamma(np.array([z]))[0])
 
 
+def pochhammer(a: complex, k: int) -> complex:
+    """(a)_k as exp(log Gamma(a + k) - log Gamma(a)), the form the measures and weights use."""
+    return cmath.exp(loggamma(a + k) - loggamma(a))
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(3.7 + 1.0j, 0) == 1.0
 
     @pytest.mark.parametrize("k", range(8))
     def test_unit_base_gives_factorial(self, k):
-        assert pochhammer(1.0, k) == math.factorial(k)
+        assert realize(pochhammer(1.0, k)) == pytest.approx(math.factorial(k), rel=1e-14)
 
     def test_half_base(self):
-        assert pochhammer(0.5, 3) == pytest.approx(1.875, abs=1e-15)
+        assert realize(pochhammer(0.5, 3)) == pytest.approx(1.875, abs=1e-15)
 
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),
         st.integers(0, 20),
     )
     def test_recurrence(self, a, k):
+        assume(not (a <= 0.0 and a == round(a)))  # Gamma has its poles there
         assert pochhammer(a, k + 1) == pytest.approx(pochhammer(a, k) * (a + k), rel=1e-12)
 
 
@@ -90,8 +96,8 @@ class TestGauss2F1:
 
     def test_two_summation_routes(self):
         v_pfaff = gauss_2f1_w(-0.5, -1.0 / 3.0, 1.0, 0.2)
-        v_direct = gauss_2f1_direct(-0.5, -1.0 / 3.0, 1.0, xi_to_w(0.2))
-        assert abs(v_pfaff - v_direct) <= 1e-13
+        v_mpmath = complex(mpmath.hyp2f1(-0.5, -1.0 / 3.0, 1.0, xi_to_w(0.2)))
+        assert abs(v_pfaff - v_mpmath) <= 1e-13
 
     @pytest.mark.parametrize("xi", [0.05, 0.15, 0.25, 0.35, 0.45])
     @pytest.mark.parametrize(
@@ -104,10 +110,9 @@ class TestGauss2F1:
         ],
     )
     def test_pfaff_consistency_grid(self, xi, a, b, c):
-        # |w| < 1 for xi < 1/2, so the plain series is an independent oracle
         v_pfaff = gauss_2f1_w(a, b, c, xi)
-        v_direct = gauss_2f1_direct(a, b, c, xi_to_w(xi))
-        assert abs(v_pfaff - v_direct) <= 1e-12 * max(1.0, abs(v_direct))
+        v_mpmath = complex(mpmath.hyp2f1(a, b, c, xi_to_w(xi)))
+        assert abs(v_pfaff - v_mpmath) <= 1e-12 * max(1.0, abs(v_mpmath))
 
     def test_against_mpmath(self):
         for a, b, c, xi in [(-0.5, -1 / 3, 4.0, 0.6), (0.7, 0.9, 2.3, 0.9)]:
@@ -146,12 +151,12 @@ class TestGauss2F1:
 
     def test_direct_series_domain(self):
         with pytest.raises(DomainError):
-            gauss_2f1_direct(0.5, 0.7, 1.0, -1.5)
+            _hyp_series(0.5, 0.7, 1.0, -1.5)
 
     def test_overflowing_series_raises_at_once(self):
         start = time.perf_counter()
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
-            gauss_2f1_direct(1e200, 1e200, 1.0, 0.5)
+            gauss_2f1_w(1e200, 0.5, 1.0, 0.5)
         assert time.perf_counter() - start < 1.0
 
     def test_series_runs_to_its_certificate_near_one(self):
@@ -187,14 +192,16 @@ class TestGauss2F1Columns:
 
 
 class TestGauss2F1Derivative:
+    """The mpmath c-derivative behind the operator suite's diagonal check."""
+
     def test_zero_upper_parameter(self):
-        assert abs(gauss_2f1_w_dc(0.0, 0.7, 1.3, 0.2)) <= 1e-15
+        assert abs(_hyp_w_dc(0.0, 0.7, 1.3, 0.2)[1]) <= 1e-15
 
     def test_terminating_closed_form(self):
         # F = 1 + (a b / c) w, so dF/dc = -(a b / c^2) w
         a, b, c, xi = -1.0, 0.7, 1.3, 0.25
         w = xi_to_w(xi)
-        assert realize(gauss_2f1_w_dc(a, b, c, xi)) == pytest.approx(
+        assert realize(_hyp_w_dc(a, b, c, xi)[1]) == pytest.approx(
             -(a * b / c**2) * w, rel=1e-13
         )
 
@@ -209,7 +216,7 @@ class TestGauss2F1Derivative:
     def test_against_finite_difference(self, a, b, c, xi):
         h = 1e-5
         fd = (gauss_2f1_w(a, b, c + h, xi) - gauss_2f1_w(a, b, c - h, xi)) / (2.0 * h)
-        dc = gauss_2f1_w_dc(a, b, c, xi)
+        dc = _hyp_w_dc(a, b, c, xi)[1]
         assert abs(dc - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 

@@ -300,6 +300,14 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("bogus")
 
+    @pytest.mark.parametrize(
+        "name, with_pair, xi",
+        [("meixner", True, None), ("scaling", False, 0.7), ("all", True, None), ("all", False, 0.3)],
+    )
+    def test_run_suite_refuses_unusable_values(self, real_pair, name, with_pair, xi):
+        with pytest.raises(ValueError, match="cannot use a given"):
+            run_suite(name, real_pair if with_pair else None, xi)
+
     def test_run_suite_fredholm(self):
         (report,) = run_suite("fredholm")
         assert report.suite == "fredholm" and report.passed
