@@ -17,8 +17,11 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 
+PARTITION_CAP = 1_000_000
+
+
 class PartitionCapError(RuntimeError):
-    """Enumerating this n would produce more partitions than the configured cap."""
+    """Enumerating this n would produce more than ``PARTITION_CAP`` partitions."""
 
 
 class ConfigurationError(ValueError):
@@ -135,17 +138,18 @@ def _all_diagrams(n: int) -> tuple[YoungDiagram, ...]:
     return tuple(YoungDiagram(parts) for parts in _descending_parts(n, n))
 
 
-def enumerate_partitions(n: int, cap: int = 1_000_000) -> list[YoungDiagram]:
+def enumerate_partitions(n: int) -> list[YoungDiagram]:
     """All partitions of n, in lexicographically descending order of part lists.
 
-    The count is checked against ``cap`` (via the pentagonal recurrence) before
-    any enumeration work is done.
+    The count is checked against ``PARTITION_CAP`` (via the pentagonal
+    recurrence) before any enumeration work is done, so n = 60 is the largest
+    size enumerated.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     count = partition_count(n)
-    if count > cap:
-        raise PartitionCapError(f"partition count {count} for n={n} exceeds cap {cap}")
+    if count > PARTITION_CAP:
+        raise PartitionCapError(f"partition count {count} for n={n} exceeds cap {PARTITION_CAP}")
     return list(_all_diagrams(n))
 
 

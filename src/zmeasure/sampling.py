@@ -1,29 +1,32 @@
 """Seeded exact sampling from the grand ensemble.
 
-A draw is produced in two exact inverse-CDF steps: the diagram size from the
-negative-binomial mixing weight (whose CDF is extended lazily, so no
-truncation error enters), then the diagram itself from the enumerated n-box
-measure with a cached CDF per size.  Draws are reproducible: the same seed
-and parameters give bit-identical batches, drawn from one stream spawned off
-the seed's SeedSequence.
+A draw is produced in two exact steps: the diagram size n by inverse CDF from
+the negative-binomial mixing weight (whose CDF is extended lazily, so no
+truncation error enters), then the diagram itself, grown box by box along the
+coherent z-measure chain.  From a diagram lambda with m boxes the chain adds
+the box of content c, giving Lambda, with probability
+(z+c)(z'+c)/(t+m) * dim(Lambda)/((m+1) dim(lambda)), so after n steps the
+diagram follows the n-box z-measure exactly (Kerov, Olshanski & Vershik;
+Borodin & Olshanski).  The dimension ratio is Kerov's transition measure of
+the diagram's corners, so no size is enumerated and none is too large.  Draws
+are reproducible: the same seed and parameters give bit-identical batches,
+drawn from one stream spawned off the seed's SeedSequence.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .measures import GrandParams, ZParams, z_measure_n
-from .partitions import Configuration, EMPTY_DIAGRAM, YoungDiagram, enumerate_partitions, to_configuration
+from .measures import GrandParams, ZParams, _require_admissible
+from .partitions import Configuration, EMPTY_DIAGRAM, YoungDiagram, to_configuration
 
 RNG_ALGORITHM = "numpy-PCG64/SeedSequence"
-
-
-class SizeCapError(RuntimeError):
-    """A drawn size exceeded the enumeration cap for exact diagram sampling."""
 
 
 @lru_cache(maxsize=32)
@@ -48,23 +51,52 @@ def sample_size(gp: GrandParams, rng: np.random.Generator) -> int:
         length *= 2
 
 
-@lru_cache(maxsize=256)
-def _diagram_cdf(zp: ZParams, n: int) -> tuple[tuple[YoungDiagram, ...], np.ndarray]:
-    diagrams = tuple(enumerate_partitions(n))
-    probs = np.array([z_measure_n(lam, zp) for lam in diagrams])
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]  # absorbs rounding of order 1e-13 in the total mass
-    return diagrams, cdf
+def _corner_weights(parts: list[int], z: complex, z_prime: complex) -> tuple[list[int], list[float]]:
+    """The rows where a box may be added to ``parts``, with the chain's unnormalised weights.
+
+    With x the contents of the addable boxes (the new row included) and y
+    those of the removable boxes, Kerov's transition measure
+    mu_k = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j), a ratio of two
+    integer products divided once, equals dim(Lambda) / ((m+1) dim(lambda))
+    for an m-box lambda.  The weights (z+x_k)(z'+x_k) mu_k, real for
+    admissible pairs, sum to t + m.
+    """
+    padded = parts + [0]
+    grow_rows = [0] + [i for i in range(1, len(padded)) if padded[i - 1] > padded[i]]
+    x = [padded[i] - i for i in grow_rows]
+    y = [padded[i - 1] - i for i in grow_rows[1:]]  # removable box at the end of row i - 1
+    weights = []
+    for xk in x:
+        num = den = 1
+        for yi in y:
+            num *= xk - yi
+        for xj in x:
+            if xj != xk:
+                den *= xk - xj
+        weights.append(((z + xk) * (z_prime + xk)).real * (num / den))
+    return grow_rows, weights
 
 
-def sample_diagram(n: int, zp: ZParams, rng: np.random.Generator, n_cap: int = 30) -> YoungDiagram:
-    """One draw from the n-box measure by inverse CDF over the enumeration."""
+def sample_diagram(n: int, zp: ZParams, rng: np.random.Generator) -> YoungDiagram:
+    """One draw from the n-box z-measure, grown box by box along the coherent chain.
+
+    The first box has one place to go; every later step draws one uniform
+    against the cumulative weights, scaled by their computed sum (and the
+    index clamped), so a uniform near 1 still lands on the last corner.
+    """
+    _require_admissible(zp)
     if n == 0:
         return EMPTY_DIAGRAM
-    if n > n_cap:
-        raise SizeCapError(f"size {n} exceeds the exact-sampling cap {n_cap}")
-    diagrams, cdf = _diagram_cdf(zp, n)
-    return diagrams[int(np.searchsorted(cdf, rng.random(), side="right"))]
+    parts = [1]
+    for _ in range(n - 1):
+        grow_rows, weights = _corner_weights(parts, zp.z, zp.z_prime)
+        cdf = list(accumulate(weights))
+        row = grow_rows[min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)]
+        if row == len(parts):
+            parts.append(1)
+        else:
+            parts[row] += 1
+    return YoungDiagram(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -83,7 +115,7 @@ class SampleBatch:
     def meta(self) -> dict:
         zp = self.gp.zp
         return {
-            "schema": "zmeasure.sample/1",
+            "schema": "zmeasure.sample/2",
             "seed": self.seed,
             "algorithm": self.algorithm,
             "count": self.count,
@@ -93,7 +125,7 @@ class SampleBatch:
         }
 
 
-def sample_batch(gp: GrandParams, count: int, seed: int, n_cap: int = 30) -> SampleBatch:
+def sample_batch(gp: GrandParams, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` diagrams from one stream spawned off ``SeedSequence(seed)``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -101,7 +133,7 @@ def sample_batch(gp: GrandParams, count: int, seed: int, n_cap: int = 30) -> Sam
     draws = []
     for _ in range(count):
         n = sample_size(gp, rng)
-        draws.append(sample_diagram(n, gp.zp, rng, n_cap))
+        draws.append(sample_diagram(n, gp.zp, rng))
     return SampleBatch(seed, gp, tuple(draws))
 
 

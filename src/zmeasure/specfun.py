@@ -103,6 +103,12 @@ def _series_start_index(a: complex, delta: float, c: complex, x_abs: float) -> i
     return max(2, int(math.ceil(m1)), int(math.ceil(m2)), int(math.ceil(c0)) + 2)
 
 
+def _non_finite_sum(m: int, a: complex, b: complex, c: complex, x_abs: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"2F1 partial sum is not finite after {m} terms (params a={a}, b={b}, c={c}, |x|={x_abs})"
+    )
+
+
 def _hyp_series(a: complex, b: complex, c: complex, x: complex, n_exact: int | None = None) -> complex:
     """Sum the 2F1 series in x until its certified geometric tail is below SERIES_TOL.
 
@@ -111,7 +117,7 @@ def _hyp_series(a: complex, b: complex, c: complex, x: complex, n_exact: int | N
     terms the stop can take; outlasting that count, or a partial sum that is
     not finite, raises :class:`ConvergenceError`.  When ``n_exact`` is given
     the series is known to terminate after n_exact + 1 terms and is summed
-    exactly.
+    exactly, up to the first partial sum that is not finite, which raises.
     """
     a = complex(a)
     b = complex(b)
@@ -127,6 +133,8 @@ def _hyp_series(a: complex, b: complex, c: complex, x: complex, n_exact: int | N
         term = 1.0 + 0.0j
         for m in range(n_exact + 1):
             total += term
+            if not cmath.isfinite(total):
+                raise _non_finite_sum(m + 1, a, b, c, x_abs)
             term *= x * (a + m) * (b + m) / ((c + m) * (m + 1))
         return total
 
@@ -148,9 +156,7 @@ def _hyp_series(a: complex, b: complex, c: complex, x: complex, n_exact: int | N
         term = complex(terms[-1])
         m += chunk
         if not cmath.isfinite(total):
-            raise ConvergenceError(
-                f"2F1 partial sum is not finite after {m} terms (params a={a}, b={b}, c={c}, |x|={x_abs})"
-            )
+            raise _non_finite_sum(m, a, b, c, x_abs)
         scale = max(scale, abs(total))
         if m >= m_star:
             if abs(term) <= stop_factor * scale:
@@ -188,13 +194,16 @@ def gauss_2f1_w(a: complex, b: complex, c: complex, xi: float) -> complex:
 
     The transformed series runs in the argument xi in (0, 1) and always
     converges; terminating cases (a or b a nonpositive integer) are summed
-    exactly.
+    exactly.  A value that is not finite raises :class:`ConvergenceError`.
     """
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
     a, b, n_exact = _termination_order(complex(a), complex(b), complex(c))
     s = _hyp_series(a, complex(c) - b, complex(c), xi, n_exact=n_exact)
-    return cmath.exp(a * math.log1p(-xi)) * s
+    value = cmath.exp(a * math.log1p(-xi)) * s
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"2F1 value is not finite (params a={a}, b={b}, c={c}, xi={xi})")
+    return value
 
 
 def _reseed_stride(xi: float) -> int:

@@ -146,7 +146,7 @@ class TestSampleCommand:
         assert out1 == out2
         lines = out1.strip().splitlines()
         meta = json.loads(lines[0])
-        assert meta["schema"] == "zmeasure.sample/1" and meta["count"] == 25
+        assert meta["schema"] == "zmeasure.sample/2" and meta["count"] == 25
         draws = [json.loads(line) for line in lines[1:]]
         assert len(draws) == 25
         assert all(d["n"] == sum(d["parts"]) for d in draws)
@@ -154,6 +154,16 @@ class TestSampleCommand:
     def test_workers_flag_refused(self, capsys):
         code, _out, _err = run(capsys, "sample", "--seed", "1", "--count", "3", "--workers", "2")
         assert code == 2
+
+    def test_size_cap_flag_refused(self, capsys):
+        code, _out, _err = run(capsys, "sample", "--seed", "1", "--count", "3", "--n-cap", "40")
+        assert code == 2
+
+    def test_sizes_above_thirty_boxes(self, capsys):
+        code, out, _err = run(capsys, "sample", "--xi", "0.9", "--count", "2000", "--seed", "1")
+        assert code == 0
+        draws = [json.loads(line) for line in out.strip().splitlines()[1:]]
+        assert len(draws) == 2000 and max(d["n"] for d in draws) > 30
 
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ZMEASURE_OUT_DIR", str(tmp_path / "outputs"))

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zmeasure import partitions
 from zmeasure.partitions import (
+    PARTITION_CAP,
     Configuration,
     ConfigurationError,
     EMPTY_DIAGRAM,
@@ -59,9 +61,15 @@ class TestEnumeration:
         for n in range(0, 60, 7):
             assert partition_count(n) == gf_partition_count(n)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # partition_count(61) = 1121505 is refused before any diagram is built
+        def no_enumeration(n):
+            raise AssertionError(f"enumerated n={n}")
+
+        monkeypatch.setattr(partitions, "_all_diagrams", no_enumeration)
+        assert partition_count(60) <= PARTITION_CAP < partition_count(61) == 1_121_505
         with pytest.raises(PartitionCapError):
-            enumerate_partitions(30, cap=100)
+            enumerate_partitions(61)
 
     def test_negative_n(self):
         with pytest.raises(ValueError):

@@ -1,28 +1,31 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from zmeasure.measures import GrandParams, z_measure_n
+from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, z_measure_n
 from zmeasure.partitions import Configuration, EMPTY_CONFIGURATION, EMPTY_DIAGRAM, YoungDiagram
 from zmeasure.sampling import (
-    SizeCapError,
+    _corner_weights,
     empirical_correlation,
     sample_batch,
     sample_diagram,
     sample_size,
 )
+from zmeasure.verification import correlation_det
 
 # sample_batch(GrandParams(0.5+1.5i, 0.5-1.5i, xi=0.5), 200, seed=7): parts of
 # each draw joined by ",", draws joined by ";" (an empty field is the empty diagram).
 PINNED_DRAWS = (
-    "4;2,1;3;;3;1;4,1;4,1,1;2,1;2,1;1;3;;;2,1,1;3,2;2;3,1;5;;2,1;2;6,1;2;;2;2,2,1,1,1;;1;1;"
-    "1,1;2,1;2;5;1,1,1,1,1;;1,1;2,1,1;2;2,1;1,1,1;;3,1;3;;3,1,1;1;4;1;1,1;;1,1;1;3,1,1;;1;3;;"
-    "3;3,1,1,1;1;6;4,1,1,1;;2;1;3,1;4,1;;5;1;;;3,2;1,1;3,1;2;2;4,1,1;1;4;;1,1;;6,2;3,1;;1;1;1;"
-    ";1;3;2,1;1;2,1;2;2,1;5,1;2;3;1,1;;1,1,1,1;1;;5,1;4,1,1;2,1;3,1;;;4,1,1;2,1,1,1;1,1,1;2,1;"
-    "4,1,1,1;6,1,1,1;4;2;1;5,1,1;3;;3,1;4,1,1;2,1;6,1;3,1;2,1,1;2,1;2;1;3,1;2,1,1;1;1;2,1;1,1;;"
-    "1;1,1,1;1;1,1;3,1;1;1;1;;2,1;9;6,1;1;3,1;;;3;3;4;;1,1;2;3;2;3,1;1,1;1;;1,1;1;2;1,1;;;1;;"
-    "2,1,1,1,1;1,1,1,1;;2,1;1,1;1;2;2;;1,1;4,1;4;;2,1;3,1;1;4,1;;2,1;5,1;3;3,2;1,1;5,1"
+    "3,1;3;3;1,1;1,1;2;2,1;1;2;1;;;2,1,1;2;2,1,1;;3;1,1;1;2;;2;6,1;1,1;2,1;1,1;;3,1,1;3,1;"
+    "2,1;4,2;;4,1;;1;2;3,1;1;1,1;3,1;3;2,1;4,1;6,1;3,1;;4,1;;3,1,1;3;2;5,1;;1,1;;7,1;10;1;"
+    "2,1;2;1,1,1;1;2;3;2,1,1;1;1;;2,2,1,1;4;2,2,1,1;1,1,1;2,1,1;;2;1;3,2;;2,2;2,1;;2,1,1;3;1;"
+    "1;6,1,1,1;3;3,1;2,1;4,1,1;2;2;1;;1,1,1;;6,1;;2,1;1;4;4;;2;3,1;1;3,1;1;2;;1,1;;;1;2,1,1;"
+    "2,2;3,1;3;2;;1,1;4,1;1,1,1;1;1;3,1;2,1;;2,1;2;4,1,1;1;2,2,1;2,1;1;2;2;3;;4,2,1,1;3;1;2;"
+    "2;1,1;2;1;5,2;2;;2;3,1,1;2;1;1,1;3,2,1,1,1,1;4,1,1;2,1;2,1,1;;;3,1;2;1,1,1;3,1;5,1;2,1;;"
+    "2,1;;1;1;8,1;;;6,1,1;3,1;2,1;;2,1;2,1,1;7,2,1;3;2;1;4;2;5,1,1;3,1;1;1;4,1;2,2,1,1,1,1;"
+    "4,1;1,1;1;3;1,1,1,1;5,1,1;1"
 )
 
 
@@ -47,10 +50,32 @@ class TestSampleDiagram:
         assert sample_diagram(0, real_pair, rng) == EMPTY_DIAGRAM
         assert sample_diagram(1, real_pair, rng) == YoungDiagram((1,))
 
-    def test_cap(self, real_pair):
-        rng = np.random.default_rng(3)
-        with pytest.raises(SizeCapError):
-            sample_diagram(31, real_pair, rng)
+    def test_two_hundred_boxes(self, real_pair):
+        lam = sample_diagram(200, real_pair, np.random.default_rng(3))
+        assert lam.n == 200
+
+    def test_meixner_mode_refused(self):
+        gp = GrandParams(ZParams.meixner(3, 0.5), 0.5)
+        with pytest.raises(AdmissibilityError):
+            sample_batch(gp, 10, seed=1)
+
+    @pytest.mark.parametrize("pair", ["real_pair", "negative_pair", "complex_pair"])
+    def test_chain_path_sums_equal_z_measure(self, pair, request):
+        # Summed over all growth paths, the chain gives each diagram its n-box z-measure.
+        zp = request.getfixturevalue(pair)
+        level = {(): 1.0}
+        for _ in range(12):
+            grown = defaultdict(float)
+            for parts, prob in level.items():
+                rows, weights = _corner_weights(list(parts), zp.z, zp.z_prime)
+                total = sum(weights)
+                for row, w in zip(rows, weights):
+                    new = list(parts) + [0]
+                    new[row] += 1
+                    grown[YoungDiagram.from_parts(new).parts] += prob * w / total
+            level = grown
+            for parts, prob in level.items():
+                assert prob == pytest.approx(z_measure_n(YoungDiagram(parts), zp), rel=1e-13, abs=0)
 
     def test_two_box_frequencies(self, real_pair):
         rng = np.random.default_rng(5)
@@ -75,14 +100,14 @@ class TestBatches:
         assert sample_batch(gp, 2000, seed=1).draws != sample_batch(gp, 2000, seed=2).draws
 
     def test_pinned_stream(self, complex_pair):
-        # Draws recorded under the zmeasure.sample/1 schema: any change here changes its streams.
+        # Draws recorded under the zmeasure.sample/2 schema: any change here changes its streams.
         batch = sample_batch(GrandParams(complex_pair, 0.5), 200, seed=7)
         assert ";".join(",".join(map(str, lam.parts)) for lam in batch.draws) == PINNED_DRAWS
 
     def test_meta_fields(self, real_pair):
         gp = GrandParams(real_pair, 0.5)
         meta = sample_batch(gp, 10, seed=0).meta()
-        assert meta["schema"] == "zmeasure.sample/1"
+        assert meta["schema"] == "zmeasure.sample/2"
         assert meta["algorithm"].startswith("numpy-PCG64")
         assert meta["count"] == 10
         assert set(meta) == {"schema", "seed", "algorithm", "count", "z", "z_prime", "xi"}
@@ -106,14 +131,22 @@ class TestEmpiricalCorrelation:
         assert abs(est - ref) <= 3.0 * max(se, 1e-6)
 
     def test_pair_matches_minor(self, real_pair):
-        from zmeasure.verification import correlation_det
-
         gp = GrandParams(real_pair, 0.5)
         batch = sample_batch(gp, 30_000, seed=13)
         X = Configuration.from_points(["1/2", "-1/2"])
         est, se = empirical_correlation(batch, X)
         ref = correlation_det(X, gp)
         assert abs(est - ref) <= 3.0 * max(se, 1e-6)
+
+    @pytest.mark.parametrize("pair, xi, seed", [("complex_pair", 0.9, 90), ("real_pair", 0.99, 99)])
+    def test_minors_near_xi_one(self, pair, xi, seed, request):
+        gp = GrandParams(request.getfixturevalue(pair), xi)
+        batch = sample_batch(gp, 10_000, seed=seed)
+        assert max(lam.n for lam in batch.draws) > 30
+        for points in (["1/2"], ["-1/2"], ["3/2"], ["-3/2"], ["1/2", "-1/2"]):
+            X = Configuration.from_points(points)
+            est, se = empirical_correlation(batch, X)
+            assert abs(est - correlation_det(X, gp)) <= 4.0 * se, points
 
     def test_empty_batch_rejected(self, real_pair):
         gp = GrandParams(real_pair, 0.5)

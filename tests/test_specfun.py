@@ -159,6 +159,18 @@ class TestGauss2F1:
             gauss_2f1_w(1e200, 0.5, 1.0, 0.5)
         assert time.perf_counter() - start < 1.0
 
+    def test_overflowing_terminating_sum_raises(self):
+        # degree 1000: the exact sum times (1 - xi)^a overflows and must raise, not return inf
+        with pytest.raises(ConvergenceError, match="not finite"):
+            gauss_2f1_w(-1000, 0.5, 1.0, 0.5)
+
+    def test_huge_terminating_degree_raises_at_once(self):
+        # -1e200 counts as a terminating integer; its terms overflow at the third
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="not finite after 3 terms"):
+            gauss_2f1_w(-1e200, 0.5, 1.0, 0.5)
+        assert time.perf_counter() - start < 1.0
+
     def test_series_runs_to_its_certificate_near_one(self):
         # about 3.7 million terms
         xi = 0.99999
