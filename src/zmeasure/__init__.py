@@ -61,7 +61,14 @@ from .specfun import (
     realize,
     whittaker_w,
 )
-from .sampling import SampleBatch, empirical_correlation, sample_batch, sample_diagram, sample_size
+from .sampling import (
+    SampleBatch,
+    SizeUnderflowError,
+    empirical_correlation,
+    sample_batch,
+    sample_diagram,
+    sample_size,
+)
 from .verification import (
     VerificationReport,
     correlation_det,

@@ -159,6 +159,15 @@ class TestSampleCommand:
         code, _out, _err = run(capsys, "sample", "--seed", "1", "--count", "3", "--n-cap", "40")
         assert code == 2
 
+    def test_underflowing_size_weight_refused(self, capsys):
+        # --count 0: the refusal comes before any draw, so no size loop can start.
+        code, _out, err = run(
+            capsys, "sample", "--z", "0.3+30i", "--zp", "0.3-30i", "--xi", "0.9999", "--seed", "1",
+            "--count", "0",
+        )
+        assert code == 2
+        assert "xi=0.9999" in err
+
     def test_sizes_above_thirty_boxes(self, capsys):
         code, out, _err = run(capsys, "sample", "--xi", "0.9", "--count", "2000", "--seed", "1")
         assert code == 0

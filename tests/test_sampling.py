@@ -1,13 +1,24 @@
 import math
+from bisect import bisect_right
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from zmeasure import sampling
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, z_measure_n
-from zmeasure.partitions import Configuration, EMPTY_CONFIGURATION, EMPTY_DIAGRAM, YoungDiagram
+from zmeasure.partitions import (
+    Configuration,
+    EMPTY_CONFIGURATION,
+    EMPTY_DIAGRAM,
+    YoungDiagram,
+    to_configuration,
+)
 from zmeasure.sampling import (
+    SizeUnderflowError,
     _corner_weights,
+    _size_cdf,
+    _size_cdf_covering,
     empirical_correlation,
     sample_batch,
     sample_diagram,
@@ -43,6 +54,50 @@ class TestSampleSize:
         draws = [sample_size(gp, rng) for _ in range(500)]
         assert draws.count(0) >= 495
 
+    @pytest.mark.parametrize(
+        "z, xi",
+        [
+            (0.3 + 10j, 0.99999),  # (1-xi)^t is 0.0
+            (0.3 + 30j, 0.9999),  # 0.0
+            (0.3 + 8j, 0.99999),  # subnormal, 3.5e-321
+        ],
+    )
+    def test_underflowing_weight_refused(self, z, xi):
+        # Refused at the CDF build and before any draw, so no test here can
+        # reach the doubling loop that an all-zero CDF would never leave.
+        gp = GrandParams(ZParams(z, z.conjugate()), xi)
+        with pytest.raises(SizeUnderflowError, match=rf"t={gp.t!r}, xi={xi!r}"):
+            _size_cdf(gp, 64)
+        with pytest.raises(SizeUnderflowError):
+            sample_batch(gp, 0, seed=1)
+
+    def test_smallest_weight_accepted(self):
+        gp = GrandParams(ZParams(0.3 + 8j, 0.3 - 8j), 0.999)  # (1-xi)^t = 5.4e-193
+        assert _size_cdf(gp, 64)[0] == pytest.approx(5.370317963702775e-193, rel=1e-12)
+
+    def test_rounding_deficit_lands_on_last_size(self, real_pair, monkeypatch):
+        # At xi=0.99 the summed weights stop 3.3e-15 short of 1; a uniform
+        # above that total takes the last size that moved it.
+        gp = GrandParams(real_pair, 0.99)
+        lengths = []
+
+        def bounded(gp, length):
+            lengths.append(length)
+            assert length <= 2**20, "the size CDF kept doubling past every weight"
+            return _size_cdf(gp, length)
+
+        monkeypatch.setattr(sampling, "_size_cdf", bounded)
+        full = _size_cdf(gp, 2**13)
+        assert full[-1] < 1.0 and full[-1] == _size_cdf(gp, 2**12)[-1]
+        last = full.index(full[-1])
+        u = math.nextafter(1.0, 0.0)
+        cdf = _size_cdf_covering(gp, _size_cdf(gp, 64), u)
+        assert cdf == full[:last] + (1.0,)
+        assert bisect_right(cdf, u) == last
+        below = math.nextafter(full[-1], 0.0)
+        assert bisect_right(_size_cdf_covering(gp, _size_cdf(gp, 64), below), below) == last
+        assert max(lengths) == 2**13
+
 
 class TestSampleDiagram:
     def test_degenerate_sizes(self, real_pair):
@@ -56,8 +111,9 @@ class TestSampleDiagram:
 
     def test_meixner_mode_refused(self):
         gp = GrandParams(ZParams.meixner(3, 0.5), 0.5)
-        with pytest.raises(AdmissibilityError):
-            sample_batch(gp, 10, seed=1)
+        for count in (0, 10):  # refused before any draw, an empty batch included
+            with pytest.raises(AdmissibilityError):
+                sample_batch(gp, count, seed=1)
 
     @pytest.mark.parametrize("pair", ["real_pair", "negative_pair", "complex_pair"])
     def test_chain_path_sums_equal_z_measure(self, pair, request):
@@ -104,6 +160,17 @@ class TestBatches:
         batch = sample_batch(GrandParams(complex_pair, 0.5), 200, seed=7)
         assert ";".join(",".join(map(str, lam.parts)) for lam in batch.draws) == PINNED_DRAWS
 
+    @pytest.mark.parametrize("zp", [ZParams(0.5, 1 / 3), ZParams(0.2 + 0.3j, 0.2 - 0.3j)])
+    def test_batch_equals_one_draw_route(self, zp):
+        # At xi=0.99 sizes pass 64, so the batch extends its size CDF too.
+        gp = GrandParams(zp, 0.99)
+        batch = sample_batch(gp, 2000, seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        assert batch.draws == tuple(
+            sample_diagram(sample_size(gp, rng), zp, rng) for _ in range(2000)
+        )
+        assert max(lam.n for lam in batch.draws) > 64
+
     def test_meta_fields(self, real_pair):
         gp = GrandParams(real_pair, 0.5)
         meta = sample_batch(gp, 10, seed=0).meta()
@@ -147,6 +214,14 @@ class TestEmpiricalCorrelation:
             X = Configuration.from_points(points)
             est, se = empirical_correlation(batch, X)
             assert abs(est - correlation_det(X, gp)) <= 4.0 * se, points
+
+    def test_counts_equal_configuration_containment(self, complex_pair):
+        batch = sample_batch(GrandParams(complex_pair, 0.9), 2000, seed=4)
+        configs = [to_configuration(lam) for lam in batch.draws]
+        for points in (["1/2"], ["-3/2"], ["1/2", "-1/2"], ["1/2", "3/2"], ["5/2", "-1/2", "-3/2"]):
+            X = Configuration.from_points(points)
+            hits = sum(X.points <= c.points for c in configs)
+            assert empirical_correlation(batch, X)[0] == hits / batch.count, points
 
     def test_empty_batch_rejected(self, real_pair):
         gp = GrandParams(real_pair, 0.5)
