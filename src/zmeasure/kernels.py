@@ -53,6 +53,8 @@ from .specfun import (
     _is_nonpositive_integer,
     gauss_2f1_columns,
     gauss_2f1_w,
+    log_gamma_ratio,
+    log_gamma_ratio_column,
     loggamma,
     meixner_norm,
     meixner_polynomial,
@@ -108,23 +110,44 @@ def _integrable_form(sx, px, qx, ax, sy, py, qy, ay):
     return sx * (px * py + qx * qy) / (ax + ay)
 
 
-def _log_psi(sign: int, u, gp: GrandParams):
-    """log psi(sign, u) from principal log-gamma values, at a float u or entrywise over an array.
-
-    The imaginary part carries the sign of psi.
-    """
+@lru_cache(maxsize=256)
+def _log_psi_offset(sign: int, gp: GrandParams) -> complex:
+    """The index-free terms of log psi: log t / 2 + s (z + z') log(1 - xi) - lg(1 + sz) - lg(1 + sz')."""
     zp = gp.zp
-    z, z_prime, xi = zp.z, zp.z_prime, gp.xi
-    s = sign
     return (
         0.5 * math.log(zp.t)
-        + (u + 0.5) * math.log(xi)
-        + s * zp.z_sum * math.log1p(-xi)
-        + loggamma(u + 1 + s * z)
-        + loggamma(u + 1 + s * z_prime)
-        - loggamma(1 + s * z)
-        - loggamma(1 + s * z_prime)
-        - 2.0 * loggamma(u + 1.0)
+        + sign * zp.z_sum * math.log1p(-gp.xi)
+        - loggamma(1 + sign * zp.z)
+        - loggamma(1 + sign * zp.z_prime)
+    )
+
+
+def _log_psi(sign: int, u: float, gp: GrandParams) -> complex:
+    """log psi(sign, u); the imaginary part carries the sign of psi.
+
+    The terms that grow with u, lg(u+1+sz) + lg(u+1+sz') - 2 lg(u+1), are
+    taken as the two ratios lg(u+1+a) - lg(u+1) at a = sz, sz'
+    (:func:`log_gamma_ratio`).  As differences of log-gamma values of size
+    u log u they lost about u log u roundoffs: 4.1e-11 at u = 2e4 and 1.9e-9
+    at u = 5e5 for (1/2, 1/3), against about 1e-15 as ratios.
+    """
+    zp = gp.zp
+    return (
+        _log_psi_offset(sign, gp)
+        + (u + 0.5) * math.log(gp.xi)
+        + log_gamma_ratio(sign * zp.z, u + 1.0)
+        + log_gamma_ratio(sign * zp.z_prime, u + 1.0)
+    )
+
+
+def _log_psi_column(sign: int, n: int, gp: GrandParams) -> np.ndarray:
+    """:func:`_log_psi` at u = 0..n-1, its ratios from :func:`log_gamma_ratio_column`."""
+    zp = gp.zp
+    return (
+        _log_psi_offset(sign, gp)
+        + (np.arange(n, dtype=np.float64) + 0.5) * math.log(gp.xi)
+        + log_gamma_ratio_column(sign * zp.z, 1.0, n)
+        + log_gamma_ratio_column(sign * zp.z_prime, 1.0, n)
     )
 
 
@@ -263,8 +286,8 @@ class FunctionTable:
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
         """Tabulate both signs at k = 0..max(size, decay index + TABLE_MARGIN) - 1.
 
-        log psi comes from :func:`_log_psi` over the whole index array, the
-        formula the point route uses, and the hypergeometric factors from
+        log psi comes from :func:`_log_psi_column`, the formula the point
+        route uses over the whole index range, and the hypergeometric factors from
         :func:`gauss_2f1_columns`.  P and Q are sqrt(psi) = exp(log(psi) / 2)
         times those factors, and :meth:`columns` gives R, S as sqrt(psi)
         times P, Q: nothing divides by sqrt(psi), so psi may underflow to 0
@@ -279,7 +302,7 @@ class FunctionTable:
         g_scale = math.sqrt(zp.t * xi) / (1.0 - xi) / (k + 1.0)
         cols = []
         for s in (1, -1):
-            log_psi = _log_psi(s, k, gp)
+            log_psi = _log_psi_column(s, n, gp)
             phase = realize_array(np.exp(1j * log_psi.imag))
             root = np.exp(0.5 * log_psi.real)
             if not ((phase > 0.0).all() and (root > 0.0).all() and np.isfinite(root).all()):

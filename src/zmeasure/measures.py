@@ -5,7 +5,7 @@ measure formula positive: either z' is the complex conjugate of a non-integer
 z, or z and z' are real and lie in the same open unit interval (m, m + 1).
 Admissibility is checked once, at parameter construction.
 
-All measure values are accumulated in log space with complex log-gamma and
+All measure values are accumulated in log space with complex logarithms and
 realized at the end, so large diagrams neither overflow nor lose positivity.
 """
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .partitions import YoungDiagram, dimension, enumerate_partitions
-from .specfun import loggamma, realize
+from .specfun import realize
 
 ADMISSIBILITY_CONDITIONS = (
     "admissible (z, z') pairs: either z' = conj(z) with z not an integer, "
@@ -145,14 +145,13 @@ def _param_logs(zp: ZParams) -> dict:
 def _pochhammer_table(zp: ZParams, n: int) -> tuple[tuple[complex, ...], ...]:
     """Columns log (1+z)_k, log (1+z')_k, log (1-z)_k, log (1-z')_k for k <= n.
 
-    Each column is lg(a + k) - lg(a) from one array ``loggamma`` call over
-    a + 0..n, whose first entry is lg(a) itself.
+    Each column is the running sum of the principal logs of the factors a + j
+    of (a)_k, equal to lg(a + k) - lg(a) up to multiples of 2 pi i.
     """
-    ks = np.arange(n + 1)
+    ks = np.arange(n, dtype=np.float64)
     columns = []
     for a in (1 + zp.z, 1 + zp.z_prime, 1 - zp.z, 1 - zp.z_prime):
-        lg = loggamma(a + ks)
-        columns.append(tuple((lg - lg[0]).tolist()))
+        columns.append((0.0j, *np.cumsum(np.log(a + ks)).tolist()))
     return tuple(columns)
 
 
@@ -161,7 +160,7 @@ def _log_pochhammer_products(diagram: YoungDiagram, zp: ZParams) -> complex:
 
     Reads every factor from the parameter set's table for the diagram's size
     (Frobenius coordinates of an n-box diagram are below n), so a diagram
-    costs no ``loggamma`` call once its size has a table.
+    costs no logarithm once its size has a table.
     """
     pz, pzp, mz, mzp = _pochhammer_table(zp, diagram.n)
     p, q = diagram.frobenius

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zmeasure
 from zmeasure.cli import main
 
 
@@ -210,3 +214,15 @@ class TestShortcutCommands:
         payload = json.loads(out)
         assert payload[0]["suite"] == "scaling" and payload[0]["passed"]
         assert "PASS" in err
+
+
+def test_cold_start_imports_no_scipy():
+    # a fresh interpreter, as a CLI call starts: scipy would add about 0.3 s to it
+    code = (
+        "import sys, zmeasure, zmeasure.cli; zmeasure.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = os.path.dirname(os.path.dirname(zmeasure.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

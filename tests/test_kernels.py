@@ -395,7 +395,33 @@ class TestNearOne:
         k, l = math.floor(1.0 / (1.0 - xi)), math.floor(2.0 / (1.0 - xi))
         for sx, sy in ((1, 1), (1, -1), (-1, -1)):
             value, scale = _reference_entry(zp, xi, sx, k, sy, l)
-            assert abs(hyper_kernel(point(sx, k), point(sy, l), gp) - value) <= 1e-9 * scale, (sx, sy)
+            # worst miss 6.4e-12 over both pairs and the three blocks
+            assert abs(hyper_kernel(point(sx, k), point(sy, l), gp) - value) <= 3e-11 * scale, (sx, sy)
+
+
+class TestLogPsiNearOne:
+    def test_against_mpmath_to_half_a_million(self, real_pair):
+        # as differences of log-gamma values the index terms drifted: 4.1e-11 at k = 2e4,
+        # 1.9e-9 at k = 5e5; as Stirling ratios they stay near the roundoff of log psi itself
+        gp = GrandParams(real_pair, 0.9999)
+        ks = (0, 3, 255, 256, 20000, 200000, 500000)
+        with mpmath.workdps(40):
+            z, z_prime, x = mpmath.mpf(real_pair.z.real), mpmath.mpf(real_pair.z_prime.real), mpmath.mpf(gp.xi)
+            for s in (1, -1):
+                column = kernels._log_psi_column(s, ks[-1] + 1, gp)
+                for k in ks:
+                    ref = complex(
+                        mpmath.log(z * z_prime) / 2
+                        + (k + mpmath.mpf(1) / 2) * mpmath.log(x)
+                        + s * (z + z_prime) * mpmath.log1p(-x)
+                        + mpmath.loggamma(k + 1 + s * z)
+                        + mpmath.loggamma(k + 1 + s * z_prime)
+                        - mpmath.loggamma(1 + s * z)
+                        - mpmath.loggamma(1 + s * z_prime)
+                        - 2 * mpmath.loggamma(k + 1)
+                    )
+                    assert abs(kernels._log_psi(s, float(k), gp) - ref) <= 1e-13, (s, k)
+                    assert abs(column[k] - ref) <= 1e-13, (s, k)
 
 
 class TestTransforms:
@@ -429,6 +455,27 @@ class TestMeixnerKernel:
             if k != l:  # the Christoffel-Darboux form holds off the diagonal only
                 cd = _meixner_kernel_cd(3, 0.5, 0.4, k, l)
                 assert abs(total - cd) <= 1e-10 * max(abs(total), abs(cd), 1e-300), (k, l)
+
+    def test_high_degree_entry_against_mpmath(self):
+        # the Meixner polynomials here cancel by far more than 1/eps; the float sums gave 1.0e20
+        big_n, alpha, xi, k, l = 80, 0.5, 0.4, 145, 168
+        with mpmath.workdps(120):
+            al, x = mpmath.mpf(alpha), mpmath.mpf(xi)
+
+            def weight(j):
+                return mpmath.rf(al + 1, j) * x**j / mpmath.factorial(j)
+
+            def poly(n, j):
+                return mpmath.hyp2f1(-n, -j, al + 1, (x - 1) / x)
+
+            def norm(n):
+                return mpmath.factorial(n) / (x**n * (1 - x) ** (al + 1) * mpmath.rf(al + 1, n))
+
+            ref = float(
+                mpmath.sqrt(weight(k) * weight(l))
+                * mpmath.fsum(poly(n, k) * poly(n, l) / norm(n) for n in range(big_n))
+            )
+        assert abs(meixner_kernel(big_n, alpha, xi, k, l) - ref) <= 1e-12 * abs(ref)
 
     def test_trace(self):
         mat = meixner_kernel_matrix(3, 0.5, 0.4, 100)
