@@ -286,8 +286,11 @@ class FunctionTable:
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
         """Tabulate both signs at k = 0..max(size, decay index + TABLE_MARGIN) - 1.
 
-        log psi comes from :func:`_log_psi_column`, the formula the point
-        route uses over the whole index range, and the hypergeometric factors from
+        log psi comes from :func:`_log_psi_column`, whose gamma ratios are
+        sums of Log(1 + a/x) steps down blocks of rows under a Stirling ratio
+        at each block's top (:func:`log_gamma_ratio_column`); they agree with
+        the point route's :func:`_log_psi` to rounding, not bit for bit.  The
+        hypergeometric factors come from
         :func:`gauss_2f1_columns`.  P and Q are sqrt(psi) = exp(log(psi) / 2)
         times those factors, and :meth:`columns` gives R, S as sqrt(psi)
         times P, Q: nothing divides by sqrt(psi), so psi may underflow to 0

@@ -85,19 +85,11 @@ def realize_array(values: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Log Gamma
-#
-# Every region is written once, in real arithmetic on (Re z, Im z), for a
-# float or an array alike; only the recurrence's loop is written twice, with
-# the same operations per entry.  The elementary functions are numpy ufuncs,
-# which give the same bits on a float as on an array entry.  (numpy's
-# vectorised log, atan2, sinh and cosh differ from libm's, and so from
-# math's, in the last bit on 0.04% to 26% of arguments on an AVX-512 host.)
-# So the scalar and the array form of loggamma agree to the last bit.
 
 _HALF_LOG_2PI = 0.9189385332046728
 _LOG_PI = 1.1447298858494002
 _STIRLING_MIN = 7.0  # the Stirling series serves Re z > 7 or |Im z| > 7
-_TAYLOR_RADIUS_SQ = 0.04  # the Taylor series serves |z - 1| <= 0.2 and |z - 2| <= 0.2
+_TAYLOR_RADIUS = 0.2  # the Taylor series serve |z - 1| <= 0.2 and |z - 2| <= 0.2
 _REFLECT_BELOW = 0.1  # the reflection formula serves Re z < 0.1
 
 # B_2j / (2j (2j - 1)) for j = 8 down to 1 (DLMF 5.11.1)
@@ -121,74 +113,42 @@ _TAYLOR_COEFFS = (
 )
 
 
-def _log_parts(x, y):
-    """The principal log of x + iy as (log|z|, arg z), the sign of a zero y kept."""
-    if isinstance(x, np.ndarray):
-        z = np.empty(x.shape, dtype=complex)
-        z.real = x
-        z.imag = y
-        w = np.log(z)
-        return w.real, w.imag
-    w = np.log(complex(x, y))
-    return float(w.real), float(w.imag)
+def _lg_stirling(z: complex) -> complex:
+    """(z - 1/2) log z - z + log(2 pi)/2 + sum_j B_2j / (2j (2j - 1)) z^(1 - 2j), j = 1..8."""
+    r = 1.0 / z
+    r2 = r * r
+    tail = 0.0
+    for c in _STIRLING_COEFFS:
+        tail = tail * r2 + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + r * tail
 
 
-def _stirling_tail(x, y):
-    """sum_j B_2j / (2j (2j - 1)) z^(1 - 2j), j = 1..8, at z = x + iy, as (re, im)."""
-    d = x * x + y * y
-    rx, ry = x / d, -y / d
-    sx, sy = rx * rx - ry * ry, 2.0 * rx * ry
-    pr, pi = _STIRLING_COEFFS[0], 0.0
-    for c in _STIRLING_COEFFS[1:]:
-        pr, pi = pr * sx - pi * sy + c, pr * sy + pi * sx
-    return rx * pr - ry * pi, rx * pi + ry * pr
+def _lg_taylor(w: complex) -> complex:
+    """log Gamma(1 + w) by its Taylor series, for |w| <= 0.2."""
+    p = 0.0
+    for c in _TAYLOR_COEFFS:
+        p = p * w + c
+    return p * w
 
 
-def _lg_stirling(x, y):
-    """(z - 1/2) log z - z + log(2 pi)/2 + the tail, for Re z > 7 or |Im z| > 7."""
-    lr, li = _log_parts(x, y)
-    tr, ti = _stirling_tail(x, y)
-    xh = x - 0.5
-    return xh * lr - y * li - x + _HALF_LOG_2PI + tr, xh * li + y * lr - y + ti
-
-
-def _lg_taylor(x, y):
-    """log Gamma(1 + w) at w = z - 1 by its Taylor series, for |z - 1| <= 0.2."""
-    wx = x - 1.0
-    pr, pi = _TAYLOR_COEFFS[0], 0.0
-    for c in _TAYLOR_COEFFS[1:]:
-        pr, pi = pr * wx - pi * y + c, pr * y + pi * wx
-    return pr * wx - pi * y, pr * y + pi * wx
-
-
-def _lg_near_two(x, y):
-    """log(z - 1) + log Gamma(z - 1), for |z - 2| <= 0.2."""
-    lr, li = _log_parts(x - 1.0, y)
-    tr, ti = _lg_taylor(x - 1.0, y)
-    return lr + tr, li + ti
-
-
-def _lg_reflect(x, y, lg_right):
-    """log pi - log sin(pi z) - log Gamma(1 - z), for Re z < 0.1 (DLMF 5.5.3).
+def _lg_reflect(z: complex) -> complex:
+    """log pi - log sin(pi z) - log Gamma(1 - z), for Re z < 0.1 and |Im z| <= 7 (DLMF 5.5.3).
 
     sin(pi z) = sin(pi x) cosh(pi y) + i cos(pi x) sinh(pi y), with x reduced
     to f = x - round(x) in [-1/2, 1/2] so that sin(pi x) keeps its relative
     accuracy next to the poles.  The multiple of 2 pi i put back (Hare 1997,
-    Proposition 3.1) makes the result the principal branch.  ``lg_right`` is
-    log Gamma on Re > 0.9, as (re, im), for 1 - z.
+    Proposition 3.1) makes the result the principal branch.
     """
-    n = np.round(x)
-    f = x - n
-    sign = 1.0 - 2.0 * np.abs(np.fmod(n, 2.0))  # (-1)^n
-    sr = sign * np.sin(np.pi * f) * np.cosh(np.pi * y)
-    si = sign * np.cos(np.pi * f) * np.sinh(np.pi * y)
-    lr, li = _log_parts(sr, si)
-    gr, gi = lg_right(1.0 - x, -y)
-    turn = np.copysign(2.0 * np.pi, y) * np.floor(0.5 * x + 0.25)
-    return _LOG_PI - lr - gr, turn - li - gi
+    x, y = z.real, z.imag
+    n = round(x)
+    f = math.pi * (x - n)
+    sign = -1.0 if n % 2 else 1.0
+    sin_pz = complex(sign * math.sin(f) * math.cosh(math.pi * y), sign * math.cos(f) * math.sinh(math.pi * y))
+    turn = math.copysign(2.0 * math.pi, y) * math.floor(0.5 * x + 0.25)
+    return _LOG_PI - cmath.log(sin_pz) - _lg_scalar(1.0 - z) + complex(0.0, turn)
 
 
-def _lg_recurrence(x, y, n, pr, pi, turns):
+def _lg_recurrence(z: complex) -> complex:
     """log Gamma(z) = log Gamma(z + n) - log P from P = z (z+1) ... (z+n-1), for 0.1 <= Re z <= 7.
 
     The product runs in the upper half plane (z or its conjugate, since
@@ -197,66 +157,32 @@ def _lg_recurrence(x, y, n, pr, pi, turns):
     negative, each a pass across the branch cut, and 2 pi i times that is
     added back to the principal log of P.
     """
-    lr, li = _log_parts(pr, pi)
-    sr, si = _lg_stirling(x + n, abs(y))
-    return sr - lr, np.copysign(1.0, y) * (si - li - 2.0 * np.pi * turns)
-
-
-def _lg_scalar(x: float, y: float) -> tuple[float, float]:
-    """Principal log Gamma at x + iy, region by region; nan at poles and non-finite z."""
-    if not (math.isfinite(x) and math.isfinite(y)) or (y == 0.0 and x <= 0.0 and x == math.floor(x)):
-        return math.nan, math.nan
-    if x > _STIRLING_MIN or abs(y) > _STIRLING_MIN:
-        return _lg_stirling(x, y)
-    if (x - 1.0) * (x - 1.0) + y * y <= _TAYLOR_RADIUS_SQ:
-        return _lg_taylor(x, y)
-    if (x - 2.0) * (x - 2.0) + y * y <= _TAYLOR_RADIUS_SQ:
-        return _lg_near_two(x, y)
-    if x < _REFLECT_BELOW:
-        return _lg_reflect(x, y, _lg_scalar)
+    x, ya = z.real, abs(z.imag)
     n = int(_STIRLING_MIN - x) + 1
-    ya = abs(y)
-    pr, pi, turns = x, ya, 0
-    for j in range(1, n):  # the same steps as in _lg_array, one entry at a time
-        xj = x + j
-        pr, ni = pr * xj - pi * ya, pr * ya + pi * xj
-        turns += ni < 0.0 <= pi
-        pi = ni
-    re, im = _lg_recurrence(x, y, n, pr, pi, turns)
-    return re, float(im)
+    p = complex(x, ya)
+    turns = 0
+    for j in range(1, n):
+        q = p * complex(x + j, ya)
+        turns += q.imag < 0.0 <= p.imag
+        p = q
+    v = _lg_stirling(complex(x + n, ya)) - cmath.log(p)
+    return complex(v.real, math.copysign(1.0, z.imag) * (v.imag - 2.0 * math.pi * turns))
 
 
-def _lg_array(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_lg_scalar` entrywise over 1-d arrays, with the same operations per entry."""
-    re = np.full(x.shape, np.nan)
-    im = np.full(x.shape, np.nan)
-    ok = np.isfinite(x) & np.isfinite(y) & ~((y == 0.0) & (x <= 0.0) & (x == np.floor(x)))
-    big = ok & ((x > _STIRLING_MIN) | (np.abs(y) > _STIRLING_MIN))
-    rest = ok & ~big
-    near1 = rest & ((x - 1.0) * (x - 1.0) + y * y <= _TAYLOR_RADIUS_SQ)
-    rest &= ~near1
-    near2 = rest & ((x - 2.0) * (x - 2.0) + y * y <= _TAYLOR_RADIUS_SQ)
-    rest &= ~near2
-    left = rest & (x < _REFLECT_BELOW)
-    rest &= ~left
-    for mask, region in ((big, _lg_stirling), (near1, _lg_taylor), (near2, _lg_near_two)):
-        if mask.any():
-            re[mask], im[mask] = region(x[mask], y[mask])
-    if left.any():
-        re[left], im[left] = _lg_reflect(x[left], y[left], _lg_array)
-    if rest.any():
-        xs, ys = x[rest], y[rest]
-        n = np.floor(_STIRLING_MIN - xs) + 1.0
-        ya = np.abs(ys)
-        pr, pi, turns = xs, ya, np.zeros(xs.shape)
-        for j in range(1, int(n.max())):
-            on = j < n
-            xj = xs + j
-            nr, ni = pr * xj - pi * ya, pr * ya + pi * xj
-            turns = turns + (on & (ni < 0.0) & (pi >= 0.0))
-            pr, pi = np.where(on, nr, pr), np.where(on, ni, pi)
-        re[rest], im[rest] = _lg_recurrence(xs, ys, n, pr, pi, turns)
-    return re, im
+def _lg_scalar(z: complex) -> complex:
+    """Principal log Gamma at z, region by region; nan at poles and non-finite z."""
+    x, y = z.real, z.imag
+    if not cmath.isfinite(z) or (y == 0.0 and x <= 0.0 and x == math.floor(x)):
+        return complex(math.nan, math.nan)
+    if x > _STIRLING_MIN or abs(y) > _STIRLING_MIN:
+        return _lg_stirling(z)
+    if abs(z - 1.0) <= _TAYLOR_RADIUS:
+        return _lg_taylor(z - 1.0)
+    if abs(z - 2.0) <= _TAYLOR_RADIUS:
+        return cmath.log(z - 1.0) + _lg_taylor(z - 2.0)
+    if x < _REFLECT_BELOW:
+        return _lg_reflect(z)
+    return _lg_recurrence(z)
 
 
 def loggamma(z):
@@ -266,16 +192,13 @@ def loggamma(z):
     axis and real on the positive one, as in mpmath.  On the cut, Im z = +0
     gives mpmath's value and Im z = -0 its conjugate.  Poles and
     non-finite arguments give nan.  The scheme and its measured accuracy are
-    in the module docstring; a float or complex argument and the same value in
-    an array give the same bits.
+    in the module docstring.  An array is done one entry at a time, so an
+    entry gets the same bits as the scalar call.
     """
     if isinstance(z, np.ndarray):
         z = np.asarray(z, dtype=complex)
-        re, im = _lg_array(z.real.ravel(), z.imag.ravel())
-        return (re + 1j * im).reshape(z.shape)
-    z = complex(z)
-    re, im = _lg_scalar(z.real, z.imag)
-    return complex(float(re), float(im))
+        return np.array([_lg_scalar(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+    return _lg_scalar(complex(z))
 
 
 # ---------------------------------------------------------------------------
