@@ -455,16 +455,22 @@ def gauss_2f1_w(a: complex, b: complex, c: complex, xi: float) -> complex:
 
     The transformed series runs in the argument xi in (0, 1) and always
     converges; terminating cases (a or b a nonpositive integer) are summed
-    exactly (:func:`_terminating_sum`).  A value that is not finite raises
-    :class:`ConvergenceError`.
+    exactly (:func:`_terminating_sum`).  A terminating sum with the other
+    parameters real and positive is summed directly in w < 0, where its terms
+    (-n)_m (b)_m w^m / ((c)_m m!) all have one sign: no cancellation, and no
+    float partial sum that overflows before a finite value.  A value that is
+    not finite raises :class:`ConvergenceError`.
     """
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    a, b, n_exact = _termination_order(complex(a), complex(b), complex(c))
+    c = complex(c)
+    a, b, n_exact = _termination_order(complex(a), complex(b), c)
+    if n_exact is not None and b.imag == 0.0 and b.real > 0.0 and c.imag == 0.0 and c.real > 0.0:
+        return _terminating_sum(a, b, c, xi_to_w(xi), n_exact)
     log_scale = a * math.log1p(-xi)
     if n_exact is not None:
-        return _terminating_sum(a, complex(c) - b, complex(c), xi, n_exact, log_scale)
-    value = cmath.exp(log_scale) * _hyp_series(a, complex(c) - b, complex(c), xi)
+        return _terminating_sum(a, c - b, c, xi, n_exact, log_scale)
+    value = cmath.exp(log_scale) * _hyp_series(a, c - b, c, xi)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"2F1 value is not finite (params a={a}, b={b}, c={c}, xi={xi})")
     return value

@@ -63,7 +63,10 @@ def _reference_entry(zp: ZParams, xi: float, sx: int, k: int, sy: int, l: int) -
             - mpmath.loggamma(1 + s * z_prime)
             - 2 * mpmath.loggamma(n + 1)
         )
-        root = mpmath.exp(log_psi / 2)
+        # sqrt(psi) from the real part: the imaginary part is a multiple of 2 pi
+        # (2 pi at k >= 1 for '-' and a real pair above 1), and carries only psi's sign
+        assert mpmath.cos(mpmath.im(log_psi)) > 0, (s, n)
+        root = mpmath.exp(mpmath.re(log_psi) / 2)
         w = x / (x - 1)
         p = root * mpmath.hyp2f1(-s * z, -s * z_prime, n + 1, w)
         f2 = mpmath.hyp2f1(1 - s * z, 1 - s * z_prime, n + 2, w)
@@ -397,6 +400,14 @@ class TestNearOne:
             value, scale = _reference_entry(zp, xi, sx, k, sy, l)
             # worst miss 6.4e-12 over both pairs and the three blocks
             assert abs(hyper_kernel(point(sx, k), point(sy, l), gp) - value) <= 3e-11 * scale, (sx, sy)
+
+    def test_minus_block_of_real_pair_above_one(self):
+        # for (1.5, 1.3) log psi(-, k) has imaginary part 2 pi at k >= 1; psi is still positive
+        xi = 0.99
+        gp = GrandParams(ZParams(1.5, 1.3), xi)
+        value, scale = _reference_entry(gp.zp, xi, -1, 0, -1, 1)
+        assert value == pytest.approx(0.2512, abs=1e-4)
+        assert abs(hyper_kernel(point(-1, 0), point(-1, 1), gp) - value) <= 1e-11 * scale
 
 
 class TestLogPsiNearOne:

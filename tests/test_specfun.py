@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import zmeasure.specfun as specfun
 from zmeasure.specfun import (
     ConvergenceError,
     DomainError,
@@ -15,6 +16,7 @@ from zmeasure.specfun import (
     RealizationError,
     _hyp_series,
     _reseed_stride,
+    _terminating_sum_mp,
     gauss_2f1_columns,
     gauss_2f1_w,
     log_gamma_ratio,
@@ -241,16 +243,38 @@ class TestGauss2F1:
         assert time.perf_counter() - start < 1.0
 
     def test_cancelling_terminating_sum(self):
-        # the float sum cancels by about 1e35 (it gave 1.9e77); summed again in mpmath
+        # the Pfaff sum in xi cancels by about 1e35 (its float sum gave 1.9e77); with b and c
+        # real and positive the sum is taken directly in w, whose terms have one sign
         ours = gauss_2f1_w(-200, 0.5, 1.0, 0.5)
         with mpmath.workdps(60):
             ref = complex(mpmath.hyp2f1(-200, 0.5, 1, xi_to_w(0.5)))
         assert abs(ours - ref) <= 1e-12 * abs(ref)
 
+    def test_cancelling_terminating_sum_resummed(self, monkeypatch):
+        # b < 0 keeps the Pfaff sum, which cancels by about 2e18 and is summed again in mpmath
+        resums = []
+
+        def counted(*args):
+            resums.append(args)
+            return _terminating_sum_mp(*args)
+
+        monkeypatch.setattr(specfun, "_terminating_sum_mp", counted)
+        ours = gauss_2f1_w(-200, -0.5, 1.0, 0.5)
+        with mpmath.workdps(60):
+            ref = complex(mpmath.hyp2f1(-200, -0.5, 1, xi_to_w(0.5)))
+        assert abs(ours - ref) <= 1e-12 * abs(ref)
+        assert len(resums) == 1
+
     def test_overflowing_terminating_sum_raises(self):
-        # degree 1000: the exact sum times (1 - xi)^a overflows and must raise, not return inf
+        # degree 1000: the value 2.7e299 is finite; its Pfaff sum in xi cancels by 1e176
+        # and overflowed, while the direct sum in w has terms of one sign
+        ours = gauss_2f1_w(-1000, 0.5, 1.0, 0.5)
+        with mpmath.workdps(60):
+            ref = complex(mpmath.hyp2f1(-1000, 0.5, 1, xi_to_w(0.5)))
+        assert abs(ours - ref) <= 1e-12 * abs(ref)
+        # degree 1100: the value 3.3e329 overflows and must raise, not return inf
         with pytest.raises(ConvergenceError, match="not finite"):
-            gauss_2f1_w(-1000, 0.5, 1.0, 0.5)
+            gauss_2f1_w(-1100, 0.5, 1.0, 0.5)
 
     def test_huge_terminating_degree_raises_at_once(self):
         # -1e200 counts as a terminating integer; its terms overflow at the third

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zmeasure.measures import GrandParams, ZParams, mixed_measure
+import zmeasure.kernels as kernels
+from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, mixed_measure
 from zmeasure.partitions import (
     Configuration,
     EMPTY_CONFIGURATION,
@@ -18,6 +19,8 @@ from zmeasure.verification import (
     TailBudgetError,
     VerificationReport,
     _case,
+    _diagram_arrays,
+    _log_pochhammer_column,
     _weighted_configurations,
     correlation_det,
     correlation_oracle,
@@ -29,7 +32,7 @@ from zmeasure.verification import (
     oracle_check,
     run_suite,
 )
-from zmeasure.kernels import decay_certificate, hyper_kernel, kernel_block_matrix
+from zmeasure.kernels import POINT_CACHE_SIZE, decay_certificate, hyper_kernel, kernel_block_matrix, pq
 
 
 class TestOracle:
@@ -65,6 +68,80 @@ class TestOracle:
         for zp in (real_pair, complex_pair):
             assert oracle_check(zp, xi=0.01, n_max=10, max_size=1).passed
         assert _weighted_configurations.cache_info().currsize == 1
+
+
+WEIGHT_PAIRS = {
+    "real": ZParams(0.5, 1.0 / 3.0),
+    "negative": ZParams(-0.4, -0.7),
+    "conjugate": ZParams(0.5 + 1.5j, 0.5 - 1.5j),
+    "large-imaginary": ZParams(0.3 + 8j, 0.3 - 8j),
+    "real-above-one": ZParams(1.5, 1.3),
+}
+
+
+def all_diagrams(n_max: int) -> list:
+    return [lam for n in range(n_max + 1) for lam in enumerate_partitions(n)]
+
+
+class TestDiagramArrays:
+    """The vectorised oracle weights and masks against the per-diagram routes."""
+
+    @pytest.mark.parametrize("zp", WEIGHT_PAIRS.values(), ids=WEIGHT_PAIRS.keys())
+    def test_weights_match_mixed_measure(self, zp):
+        gp = GrandParams(zp, 0.2)
+        ref = np.array([mixed_measure(lam, gp) for lam in all_diagrams(20)])
+        weights = _weighted_configurations(gp, 20)
+        assert np.max(np.abs(weights - ref) / ref) <= 1e-13
+
+    def test_masks_match_bit_sums(self):
+        diagrams = all_diagrams(26)
+        arrays = _diagram_arrays(26)
+        assert arrays.pos_masks.dtype == arrays.neg_masks.dtype == np.uint64
+        for masks, half in ((arrays.pos_masks, 0), (arrays.neg_masks, 1)):
+            bit_sums = [sum(1 << k for k in lam.frobenius[half]) for lam in diagrams]
+            assert np.array_equal(masks, np.array(bit_sums, dtype=np.uint64))
+
+    def test_padded_coordinates(self):
+        arrays = _diagram_arrays(12)
+        for row, lam in enumerate(all_diagrams(12)):
+            p, q = lam.frobenius
+            pad = (0,) * (arrays.p.shape[0] - lam.d)
+            assert tuple(arrays.p[:, row]) == p + pad and tuple(arrays.q[:, row]) == q + pad
+            assert (arrays.n[row], arrays.d[row]) == (lam.n, lam.d)
+
+    def test_inadmissible_parameters_raise(self):
+        with pytest.raises(AdmissibilityError):
+            _weighted_configurations(GrandParams(ZParams.meixner(3, 0.5), 0.2), 10)
+        # (1 - z')_k of the meixner pair (3.5, 3) vanishes from k = 3 on
+        with pytest.raises(AdmissibilityError, match="not positive"):
+            _log_pochhammer_column(-1, ZParams.meixner(3, 0.5), 5)
+
+
+class TestPointCaches:
+    CACHES = (kernels._hg_cached, kernels._log_psi_cached)
+
+    def test_bounded_over_fresh_parameter_sets(self):
+        # 8 entries per parameter set, as an oracle op leaves: 4800 in all
+        for cache in self.CACHES:
+            cache.cache_clear()
+        for z in np.linspace(0.2, 0.8, 600):
+            gp = GrandParams(ZParams(z, 0.5), 0.1)
+            for sign in (1, -1):
+                for u in range(4):
+                    pq(sign, u, gp)
+        for cache in self.CACHES:
+            assert cache.cache_info().maxsize == POINT_CACHE_SIZE
+            assert cache.cache_info().currsize == POINT_CACHE_SIZE
+
+    def test_run_suite_all_evicts_nothing(self):
+        # every miss is still held, so hits and misses are those of an unbounded cache
+        for cache in self.CACHES:
+            cache.cache_clear()
+        assert all(report.passed for report in run_suite("all"))
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.hits > 0
+            assert info.currsize == info.misses <= POINT_CACHE_SIZE
 
 
 POOL = sorted(
