@@ -70,8 +70,8 @@ DECAY_CERTIFICATE_RATIO = 1e-16
 TABLE_MARGIN = 40  # table rows kept past the decay certificate
 # Entries of each point cache (``_log_psi_cached``, ``_hg_cached``).  Their keys
 # carry the parameter set, so entries of a parameter set a caller has left are
-# never hit again; an oracle op leaves 8 in each.  Unbounded, they grew the
-# process by about 4.6 KB per oracle op.  ``run_suite("all")`` uses at most 82.
+# never hit again; an oracle op leaves 8 in each.  ``run_suite("all")`` uses at
+# most 82.
 POINT_CACHE_SIZE = 4096
 
 

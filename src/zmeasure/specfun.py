@@ -375,16 +375,14 @@ def _hyp_series(a: complex, b: complex, c: complex, x: complex) -> complex:
         chunk = min(2 * chunk, 16384)
 
 
-def _terminating_sum(
-    a: complex, b: complex, c: complex, x: float, n: int, log_scale: complex = 0.0
-) -> complex:
-    """exp(log_scale) F(a, b; c; x) for a series that ends after its n + 1 terms, summed exactly.
+def _terminating_sum(a: complex, b: complex, c: complex, x: float, n: int) -> complex:
+    """F(a, b; c; x) for a series that ends after its n + 1 terms, summed exactly.
 
-    A float partial sum, or the float value exp(log_scale) * sum, that is not finite
-    raises :class:`ConvergenceError`.  The float sum's relative error is
-    about kappa * eps, with kappa = sum |T_m| / |sum T_m| the cancellation of
-    its terms; past CANCELLATION_TOL the same terms are summed again in
-    mpmath (:func:`_terminating_sum_mp`).
+    A float partial sum that is not finite raises :class:`ConvergenceError`.
+    The float sum's relative error is about kappa * eps, with
+    kappa = sum |T_m| / |sum T_m| the cancellation of its terms; past
+    CANCELLATION_TOL the same terms are summed again in mpmath
+    (:func:`_terminating_sum_mp`).
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     total = 0.0j
@@ -396,14 +394,10 @@ def _terminating_sum(
         if not cmath.isfinite(total):
             raise _non_finite_sum(m + 1, a, b, c, abs(x))
         term *= x * (a + m) * (b + m) / ((c + m) * (m + 1))
-    scale = cmath.exp(log_scale)
-    value = scale * total
-    if cmath.isfinite(value) and size * _EPS > CANCELLATION_TOL * abs(total):
+    if size * _EPS > CANCELLATION_TOL * abs(total):
         kappa = size / abs(total) if total else math.inf
-        value = scale * _terminating_sum_mp(a, b, c, x, n, kappa)
-    if not cmath.isfinite(value):
-        raise ConvergenceError(f"2F1 value is not finite (params a={a}, b={b}, c={c}, x={x})")
-    return value
+        return _terminating_sum_mp(a, b, c, x, n, kappa)
+    return total
 
 
 def _terminating_sum_mp(a: complex, b: complex, c: complex, x: complex, n: int, kappa: float) -> complex:
@@ -454,23 +448,17 @@ def gauss_2f1_w(a: complex, b: complex, c: complex, xi: float) -> complex:
     """F(a, b; c; w) at the lattice argument w = xi/(xi - 1), via the Pfaff transform.
 
     The transformed series runs in the argument xi in (0, 1) and always
-    converges; terminating cases (a or b a nonpositive integer) are summed
-    exactly (:func:`_terminating_sum`).  A terminating sum with the other
-    parameters real and positive is summed directly in w < 0, where its terms
-    (-n)_m (b)_m w^m / ((c)_m m!) all have one sign: no cancellation, and no
-    float partial sum that overflows before a finite value.  A value that is
-    not finite raises :class:`ConvergenceError`.
+    converges.  Terminating cases (a or b a nonpositive integer) are summed
+    exactly and directly in w (:func:`_terminating_sum`).  A value that is not
+    finite raises :class:`ConvergenceError`.
     """
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
     c = complex(c)
     a, b, n_exact = _termination_order(complex(a), complex(b), c)
-    if n_exact is not None and b.imag == 0.0 and b.real > 0.0 and c.imag == 0.0 and c.real > 0.0:
-        return _terminating_sum(a, b, c, xi_to_w(xi), n_exact)
-    log_scale = a * math.log1p(-xi)
     if n_exact is not None:
-        return _terminating_sum(a, c - b, c, xi, n_exact, log_scale)
-    value = cmath.exp(log_scale) * _hyp_series(a, c - b, c, xi)
+        return _terminating_sum(a, b, c, xi_to_w(xi), n_exact)
+    value = cmath.exp(a * math.log1p(-xi)) * _hyp_series(a, c - b, c, xi)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"2F1 value is not finite (params a={a}, b={b}, c={c}, xi={xi})")
     return value

@@ -38,7 +38,6 @@ from .kernels import (
     whittaker_kernel,
 )
 from .measures import (
-    AdmissibilityError,
     GrandParams,
     ZParams,
     _log_pochhammer_products,
@@ -228,14 +227,12 @@ def _log_pochhammer_column(sign: int, zp: ZParams, n: int) -> np.ndarray:
     """log (1+sz)_k (1+sz')_k for k = 0..n, a running sum of real logarithms.
 
     Each factor (1+sz+j)(1+sz'+j) is a squared modulus for a conjugate pair
-    and a product of two numbers of one sign for a real pair, so it is real
-    and positive for admissible parameters; otherwise this raises
-    :class:`AdmissibilityError`, as ``z_measure_n`` does.
+    and a product of two numbers of one sign for a real pair in one unit
+    interval, so it is real and positive for the admissible pairs that
+    ``_weighted_configurations`` accepts.
     """
     js = np.arange(n, dtype=np.float64)
     factors = realize_array((1.0 + sign * zp.z + js) * (1.0 + sign * zp.z_prime + js))
-    if not np.all(factors > 0.0):
-        raise AdmissibilityError(f"Pochhammer factor not positive for z={zp.z}, z'={zp.z_prime}")
     return np.concatenate(([0.0], np.cumsum(np.log(factors))))
 
 

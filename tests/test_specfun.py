@@ -243,15 +243,16 @@ class TestGauss2F1:
         assert time.perf_counter() - start < 1.0
 
     def test_cancelling_terminating_sum(self):
-        # the Pfaff sum in xi cancels by about 1e35 (its float sum gave 1.9e77); with b and c
-        # real and positive the sum is taken directly in w, whose terms have one sign
+        # summed in xi after a Pfaff transform this cancels by about 1e35 (its float sum
+        # gave 1.9e77); the sum in w, taken here, has terms of one sign
         ours = gauss_2f1_w(-200, 0.5, 1.0, 0.5)
         with mpmath.workdps(60):
             ref = complex(mpmath.hyp2f1(-200, 0.5, 1, xi_to_w(0.5)))
         assert abs(ours - ref) <= 1e-12 * abs(ref)
 
     def test_cancelling_terminating_sum_resummed(self, monkeypatch):
-        # b < 0 keeps the Pfaff sum, which cancels by about 2e18 and is summed again in mpmath
+        # (-40.5)_m alternates in sign up to m = 41, so the sum in w cancels by about 2e15
+        # and is summed again in mpmath
         resums = []
 
         def counted(*args):
@@ -259,15 +260,15 @@ class TestGauss2F1:
             return _terminating_sum_mp(*args)
 
         monkeypatch.setattr(specfun, "_terminating_sum_mp", counted)
-        ours = gauss_2f1_w(-200, -0.5, 1.0, 0.5)
+        ours = gauss_2f1_w(-60, -40.5, 1.0, 0.5)
         with mpmath.workdps(60):
-            ref = complex(mpmath.hyp2f1(-200, -0.5, 1, xi_to_w(0.5)))
+            ref = complex(mpmath.hyp2f1(-60, -40.5, 1, xi_to_w(0.5)))
         assert abs(ours - ref) <= 1e-12 * abs(ref)
         assert len(resums) == 1
 
     def test_overflowing_terminating_sum_raises(self):
-        # degree 1000: the value 2.7e299 is finite; its Pfaff sum in xi cancels by 1e176
-        # and overflowed, while the direct sum in w has terms of one sign
+        # degree 1000: the value 2.7e299 is finite; its sum in w has terms of one sign
+        # (summed in xi after a Pfaff transform it cancelled by 1e176 and overflowed)
         ours = gauss_2f1_w(-1000, 0.5, 1.0, 0.5)
         with mpmath.workdps(60):
             ref = complex(mpmath.hyp2f1(-1000, 0.5, 1, xi_to_w(0.5)))

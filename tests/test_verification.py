@@ -20,7 +20,6 @@ from zmeasure.verification import (
     VerificationReport,
     _case,
     _diagram_arrays,
-    _log_pochhammer_column,
     _weighted_configurations,
     correlation_det,
     correlation_oracle,
@@ -112,9 +111,6 @@ class TestDiagramArrays:
     def test_inadmissible_parameters_raise(self):
         with pytest.raises(AdmissibilityError):
             _weighted_configurations(GrandParams(ZParams.meixner(3, 0.5), 0.2), 10)
-        # (1 - z')_k of the meixner pair (3.5, 3) vanishes from k = 3 on
-        with pytest.raises(AdmissibilityError, match="not positive"):
-            _log_pochhammer_column(-1, ZParams.meixner(3, 0.5), 5)
 
 
 class TestPointCaches:
