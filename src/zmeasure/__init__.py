@@ -63,11 +63,8 @@ from .specfun import (
 )
 from .sampling import (
     SampleBatch,
-    SizeUnderflowError,
     empirical_correlation,
     sample_batch,
-    sample_diagram,
-    sample_size,
 )
 from .verification import (
     VerificationReport,

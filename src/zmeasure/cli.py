@@ -169,14 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser(
         "sample",
         help="draw diagrams from the grand ensemble",
-        description="Seeded exact sampling: the diagram size n is drawn from the "
-        "negative-binomial weight (1-xi)^t (t)_n/n! xi^n, then the diagram is grown box "
-        "by box along the coherent z-measure chain, which adds the box of content c to "
-        "an m-box diagram with probability (z+c)(z'+c)/(t+m) times Kerov's transition "
-        "measure; after n steps it follows the n-box z-measure exactly, at any n. All "
-        "draws come from one NumPy PCG64 stream spawned from the seed, so the same seed "
-        "and parameters give the same draws. Emits JSON lines: one metadata row, then "
-        "one row per draw.",
+        description="Seeded exact sampling: each diagram is grown box by box along the "
+        "coherent z-measure chain, which adds the box of content c to an m-box diagram with "
+        "probability (z+c)(z'+c)/(t+m) times Kerov's transition measure, after a holding "
+        "time Exp(t+m) on a clock that stops at -log(1-xi). The size then follows the "
+        "negative-binomial weight (1-xi)^t (t)_n/n! xi^n and the diagram the n-box "
+        "z-measure, exactly; a draw costs in proportion to its size, whose mean is "
+        "t xi/(1-xi). All draws come from one NumPy PCG64 stream spawned from the seed, so "
+        "the same seed and parameters give the same draws. Emits JSON lines: one metadata "
+        "row, then one row per draw.",
     )
     _add_param_options(p_sample)
     p_sample.add_argument("--seed", type=int, required=True, help="seed of the random stream")

@@ -1,92 +1,40 @@
 """Seeded exact sampling from the grand ensemble.
 
-A draw is produced in two exact steps: the diagram size n by inverse CDF from
-the negative-binomial mixing weight (whose CDF is extended lazily, so no
-truncation error enters), then the diagram itself, grown box by box along the
-coherent z-measure chain.  From a diagram lambda with m boxes the chain adds
-the box of content c, giving Lambda, with probability
+A draw grows a diagram box by box along the coherent z-measure chain, in
+continuous time.  From a diagram lambda with m boxes the chain adds the box of
+content c, giving Lambda, with probability
 (z+c)(z'+c)/(t+m) * dim(Lambda)/((m+1) dim(lambda)), so after n steps the
 diagram follows the n-box z-measure exactly (Kerov, Olshanski & Vershik;
 Borodin & Olshanski).  The dimension ratio is Kerov's transition measure of
-the diagram's corners, so no size is enumerated and none is too large.  Draws
-are reproducible: the same seed and parameters give bit-identical batches,
-drawn from one stream spawned off the seed's SeedSequence.  A batch reads
-that stream a chunk of uniforms at a time and builds the size CDF once, yet
-consumes the same uniforms in the same order against the same CDF as the
-one-draw route ``sample_size`` then ``sample_diagram``, so both give the same
-draws.
+the diagram's corners, so no size is enumerated and none is too large.  Each
+step waits an exponential holding time of rate t + m, the sum of the chain's
+weights, which depends on the size alone; a draw stops when its clock would
+pass tau = -log(1-xi).  The size is then a birth process with rates t + m read
+at tau, whose law is the negative-binomial mixing weight
+(1-xi)^t (t)_n/n! xi^n, and given its size the diagram follows the n-box
+z-measure, so the draw follows the grand ensemble exactly and no size law is
+stored (Borodin & Olshanski, "Markov processes on partitions").
+A draw costs in proportion to its size, whose mean is t xi/(1-xi), so no
+admissible pair is refused.  Draws are reproducible: the same seed and
+parameters give bit-identical batches, drawn from one stream spawned off the
+seed's SeedSequence and read a chunk of uniforms at a time.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .measures import GrandParams, ZParams, _require_admissible
+from .measures import GrandParams, _require_admissible
 from .partitions import Configuration, EMPTY_DIAGRAM, YoungDiagram
 
 RNG_ALGORITHM = "numpy-PCG64/SeedSequence"
-SIZE_CDF_START = 64  # the first length of the size CDF, doubled as uniforms need
 UNIFORM_CHUNK = 1024
-
-
-class SizeUnderflowError(ValueError):
-    """The weight (1-xi)^t of the empty diagram is not a normal float: no size CDF is built."""
-
-
-@lru_cache(maxsize=32)
-def _size_cdf(gp: GrandParams, length: int) -> tuple[float, ...]:
-    """Cumulative mixing weights for sizes 0..length-1, by the one-step recurrence.
-
-    Every route to a size starts here, so parameters whose first weight
-    (1-xi)^t underflows are refused before any uniform is drawn: at zero every
-    entry is 0.0 and no length would cover a uniform, and a subnormal weight
-    carries too few digits.
-    """
-    t, xi = gp.t, gp.xi
-    weight = math.exp(t * math.log1p(-xi))
-    if not weight >= sys.float_info.min:
-        raise SizeUnderflowError(
-            f"size weight (1-xi)^t = {weight!r} underflows at t={t!r}, xi={xi!r}"
-        )
-    pmf = [weight]
-    for n in range(length - 1):
-        weight = weight * xi * (t + n) / (n + 1.0)
-        pmf.append(weight)
-    return tuple(accumulate(pmf))
-
-
-def _size_cdf_covering(gp: GrandParams, cdf: tuple[float, ...], u: float) -> tuple[float, ...]:
-    """``cdf`` doubled in length until its last entry exceeds the uniform ``u``.
-
-    A weight moves the total only while it exceeds half an ulp of it.  Before
-    the mode each weight exceeds the mean of those below it, and past the mode
-    the weights decrease, so a doubling that leaves the total unchanged leaves
-    every longer CDF unchanged too.  That total rests a rounding error short
-    of 1 (3.3e-15 at (1/2, 1/3), xi=0.99), and a u above it lands on the last
-    size that moved the total, whose entry is raised to 1, in place of a
-    doubling without end.
-    """
-    while u >= cdf[-1]:
-        longer = _size_cdf(gp, 2 * len(cdf))
-        if longer[-1] == cdf[-1]:
-            return cdf[: bisect_left(cdf, cdf[-1])] + (1.0,)
-        cdf = longer
-    return cdf
-
-
-def sample_size(gp: GrandParams, rng: np.random.Generator) -> int:
-    """One draw of the diagram size from the negative-binomial mixing weight."""
-    cdf = _size_cdf(gp, SIZE_CDF_START)
-    u = rng.random()
-    return bisect_right(_size_cdf_covering(gp, cdf, u), u)
 
 
 def _corner_weights(parts: list[int], z: complex, z_prime: complex) -> tuple[list[int], list[float]]:
@@ -115,31 +63,6 @@ def _corner_weights(parts: list[int], z: complex, z_prime: complex) -> tuple[lis
     return grow_rows, weights
 
 
-def _grow(n: int, z: complex, z_prime: complex, uniform: Callable[[], float]) -> YoungDiagram:
-    """An n-box diagram, n >= 1, grown along the coherent chain from ``uniform()`` draws.
-
-    The first box has one place to go; every later step draws one uniform
-    against the cumulative weights, scaled by their computed sum (and the
-    index clamped), so a uniform near 1 still lands on the last corner.
-    """
-    parts = [1]
-    for _ in range(n - 1):
-        grow_rows, weights = _corner_weights(parts, z, z_prime)
-        cdf = list(accumulate(weights))
-        row = grow_rows[min(bisect_right(cdf, uniform() * cdf[-1]), len(cdf) - 1)]
-        if row == len(parts):
-            parts.append(1)
-        else:
-            parts[row] += 1
-    return YoungDiagram(tuple(parts))
-
-
-def sample_diagram(n: int, zp: ZParams, rng: np.random.Generator) -> YoungDiagram:
-    """One draw from the n-box z-measure, grown box by box along the coherent chain."""
-    _require_admissible(zp)
-    return _grow(n, zp.z, zp.z_prime, rng.random) if n else EMPTY_DIAGRAM
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """A reproducible batch of diagram draws from the grand ensemble."""
@@ -156,7 +79,7 @@ class SampleBatch:
     def meta(self) -> dict:
         zp = self.gp.zp
         return {
-            "schema": "zmeasure.sample/2",
+            "schema": "zmeasure.sample/3",
             "seed": self.seed,
             "algorithm": self.algorithm,
             "count": self.count,
@@ -179,24 +102,42 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
 def sample_batch(gp: GrandParams, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` diagrams from one stream spawned off ``SeedSequence(seed)``.
 
-    Each draw is ``sample_diagram(sample_size(gp, rng), gp.zp, rng)`` on that
-    stream, bit for bit.  The parameters are refused, if at all, before any
-    draw (``count=0`` included); the size CDF is built once and extended
-    only when a uniform lands past its end; the uniforms are read in chunks.
+    Each draw starts empty, with its clock at 0.  From an m-box diagram the
+    clock advances by -log(1-u)/(t+m), u the next uniform, and while it has
+    not passed tau = -log(1-xi) a box is added: the first in its one place,
+    every later one by the next uniform against the cumulative chain weights,
+    scaled by their computed sum (and the index clamped), so a uniform near 1
+    still lands on the last corner.  The draw is exact; its mean size is
+    t xi/(1-xi).  Parameters are refused, if at all, before any draw
+    (``count=0`` included), and only for not being admissible.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     _require_admissible(gp.zp)
-    cdf = _size_cdf(gp, SIZE_CDF_START)
+    tau = -math.log1p(-gp.xi)
     uniform = _uniforms(np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])).__next__
-    z, z_prime = gp.zp.z, gp.zp.z_prime
+    log1p = math.log1p
+    z, z_prime, t = gp.zp.z, gp.zp.z_prime, gp.t
     draws = []
     for _ in range(count):
-        u = uniform()
-        if u >= cdf[-1]:
-            cdf = _size_cdf_covering(gp, cdf, u)
-        n = bisect_right(cdf, u)
-        draws.append(_grow(n, z, z_prime, uniform) if n else EMPTY_DIAGRAM)
+        clock = -log1p(-uniform()) / t
+        if clock > tau:
+            draws.append(EMPTY_DIAGRAM)
+            continue
+        parts = [1]
+        m = 1
+        clock -= log1p(-uniform()) / (t + m)
+        while clock <= tau:
+            grow_rows, weights = _corner_weights(parts, z, z_prime)
+            cdf = list(accumulate(weights))
+            row = grow_rows[min(bisect_right(cdf, uniform() * cdf[-1]), len(cdf) - 1)]
+            if row == len(parts):
+                parts.append(1)
+            else:
+                parts[row] += 1
+            m += 1
+            clock -= log1p(-uniform()) / (t + m)
+        draws.append(YoungDiagram(tuple(parts)))
     return SampleBatch(seed, gp, tuple(draws))
 
 

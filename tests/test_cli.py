@@ -150,7 +150,7 @@ class TestSampleCommand:
         assert out1 == out2
         lines = out1.strip().splitlines()
         meta = json.loads(lines[0])
-        assert meta["schema"] == "zmeasure.sample/2" and meta["count"] == 25
+        assert meta["schema"] == "zmeasure.sample/3" and meta["count"] == 25
         draws = [json.loads(line) for line in lines[1:]]
         assert len(draws) == 25
         assert all(d["n"] == sum(d["parts"]) for d in draws)
@@ -163,14 +163,18 @@ class TestSampleCommand:
         code, _out, _err = run(capsys, "sample", "--seed", "1", "--count", "3", "--n-cap", "40")
         assert code == 2
 
-    def test_underflowing_size_weight_refused(self, capsys):
-        # --count 0: the refusal comes before any draw, so no size loop can start.
-        code, _out, err = run(
+    def test_underflowing_size_weight_accepted(self, capsys):
+        # (1-xi)^t is 0.0 here, and the pair is admissible, so it is used: --count 0
+        # prints the metadata line alone.
+        code, out, _err = run(
             capsys, "sample", "--z", "0.3+30i", "--zp", "0.3-30i", "--xi", "0.9999", "--seed", "1",
             "--count", "0",
         )
-        assert code == 2
-        assert "xi=0.9999" in err
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        meta = json.loads(lines[0])
+        assert meta["count"] == 0 and meta["z"] == [0.3, 30.0] and meta["xi"] == 0.9999
 
     def test_sizes_above_thirty_boxes(self, capsys):
         code, out, _err = run(capsys, "sample", "--xi", "0.9", "--count", "2000", "--seed", "1")

@@ -1,12 +1,16 @@
 import math
-from bisect import bisect_right
-from collections import defaultdict
+import sys
+from collections import Counter, defaultdict
 
-import numpy as np
 import pytest
 
-from zmeasure import sampling
-from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, z_measure_n
+from zmeasure.measures import (
+    AdmissibilityError,
+    GrandParams,
+    ZParams,
+    neg_binomial_weight,
+    z_measure_n,
+)
 from zmeasure.partitions import (
     Configuration,
     EMPTY_CONFIGURATION,
@@ -14,100 +18,85 @@ from zmeasure.partitions import (
     YoungDiagram,
     to_configuration,
 )
-from zmeasure.sampling import (
-    SizeUnderflowError,
-    _corner_weights,
-    _size_cdf,
-    _size_cdf_covering,
-    empirical_correlation,
-    sample_batch,
-    sample_diagram,
-    sample_size,
-)
+from zmeasure.sampling import _corner_weights, empirical_correlation, sample_batch
 from zmeasure.verification import correlation_det
 
 # sample_batch(GrandParams(0.5+1.5i, 0.5-1.5i, xi=0.5), 200, seed=7): parts of
 # each draw joined by ",", draws joined by ";" (an empty field is the empty diagram).
 PINNED_DRAWS = (
-    "3,1;3;3;1,1;1,1;2;2,1;1;2;1;;;2,1,1;2;2,1,1;;3;1,1;1;2;;2;6,1;1,1;2,1;1,1;;3,1,1;3,1;"
-    "2,1;4,2;;4,1;;1;2;3,1;1;1,1;3,1;3;2,1;4,1;6,1;3,1;;4,1;;3,1,1;3;2;5,1;;1,1;;7,1;10;1;"
-    "2,1;2;1,1,1;1;2;3;2,1,1;1;1;;2,2,1,1;4;2,2,1,1;1,1,1;2,1,1;;2;1;3,2;;2,2;2,1;;2,1,1;3;1;"
-    "1;6,1,1,1;3;3,1;2,1;4,1,1;2;2;1;;1,1,1;;6,1;;2,1;1;4;4;;2;3,1;1;3,1;1;2;;1,1;;;1;2,1,1;"
-    "2,2;3,1;3;2;;1,1;4,1;1,1,1;1;1;3,1;2,1;;2,1;2;4,1,1;1;2,2,1;2,1;1;2;2;3;;4,2,1,1;3;1;2;"
-    "2;1,1;2;1;5,2;2;;2;3,1,1;2;1;1,1;3,2,1,1,1,1;4,1,1;2,1;2,1,1;;;3,1;2;1,1,1;3,1;5,1;2,1;;"
-    "2,1;;1;1;8,1;;;6,1,1;3,1;2,1;;2,1;2,1,1;7,2,1;3;2;1;4;2;5,1,1;3,1;1;1;4,1;2,2,1,1,1,1;"
-    "4,1;1,1;1;3;1,1,1,1;5,1,1;1"
+    "2;2;3;1,1;2;2,1;2;1;6,1;;4,2;2,1;1;2,1;3,1;3,1;3,1,1;2;1;;4,1,1;1;2,1;3,2,1;;2;3;4;4;2,1"
+    ";1,1;3;1,1;2;1;1,1;2;1;;1;1;;1;1;2,1;2,1;;1;1;2;1;2,1;1;2;2;2;1;1;2,1;3,1;1;4;2;6,1;2;;4"
+    ";2;;;;3,2,1,1;;2,1;1;2,1;1;2;1,1;2;1;1,1;4,2,1,1,1;6;2;1;2;3;;2;2;;1;1;2;;1;;1,1,1,1;2;2"
+    ";1,1;;2;3;2;1;2;6,1,1;;3,1;2,1;;1;3,1,1;6;2;2,1;2,1;1;;1,1;2,1;1;1;2;1;1;1;1;2;1;;1;;3;5"
+    ",1;2,1;2,2,1,1,1;4;1;2,1,1;3,1;2;3,1,1;2,1,1;1;5,1,1;;1,1;2;3,1,1;1;;4,1;3,1,1;4,1;1,1,1"
+    ";;1;;1;2,1;5;1,1;;6,1;1,1;1;1;2;;5,1,1,1;2,1;;1;2,1,1;3,1,1,1;1;3,1,1;1;4,1,1;;;1;2;2;3,"
+    "1;3;2,1;4;4;5,1,1;3,2,1;2,1;2;1;;1,1;4,1"
 )
+
+
+def _size_chi_square(sizes: list[int], gp: GrandParams) -> tuple[float, int]:
+    """Pearson's chi-square of ``sizes`` against the mixing weight, with its degrees of freedom.
+
+    Sizes are binned from 0 upward, each bin closed once its expected count
+    reaches 5; the last bin lumps the tail, every size past the closed bins.
+    """
+    count = len(sizes)
+    observed = Counter(sizes)
+    bins = []
+    o = e = 0.0
+    left_o = left_e = float(count)  # observed and expected counts of the sizes not yet binned
+    n = 0
+    while True:
+        w = count * neg_binomial_weight(n, gp.t, gp.xi)
+        if left_e - e - w < 5.0:
+            break
+        o += observed[n]
+        e += w
+        if e >= 5.0:
+            bins.append((o, e))
+            left_o -= o
+            left_e -= e
+            o = e = 0.0
+        n += 1
+    bins.append((left_o, left_e))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
 
 
 class TestSampleSize:
     def test_empirical_mean(self, gp02):
-        rng = np.random.default_rng(11)
-        draws = [sample_size(gp02, rng) for _ in range(30_000)]
+        sizes = [lam.n for lam in sample_batch(gp02, 30_000, seed=11).draws]
         mean = gp02.t * gp02.xi / (1.0 - gp02.xi)
         var = gp02.t * gp02.xi / (1.0 - gp02.xi) ** 2
-        assert abs(np.mean(draws) - mean) <= 4.0 * math.sqrt(var / len(draws))
+        assert abs(sum(sizes) / len(sizes) - mean) <= 4.0 * math.sqrt(var / len(sizes))
 
     def test_small_xi_mostly_empty(self, real_pair):
-        gp = GrandParams(real_pair, 1e-4)
-        rng = np.random.default_rng(0)
-        draws = [sample_size(gp, rng) for _ in range(500)]
-        assert draws.count(0) >= 495
+        draws = sample_batch(GrandParams(real_pair, 1e-4), 500, seed=0).draws
+        assert draws.count(EMPTY_DIAGRAM) >= 495
 
-    @pytest.mark.parametrize(
-        "z, xi",
-        [
-            (0.3 + 10j, 0.99999),  # (1-xi)^t is 0.0
-            (0.3 + 30j, 0.9999),  # 0.0
-            (0.3 + 8j, 0.99999),  # subnormal, 3.5e-321
-        ],
-    )
-    def test_underflowing_weight_refused(self, z, xi):
-        # Refused at the CDF build and before any draw, so no test here can
-        # reach the doubling loop that an all-zero CDF would never leave.
-        gp = GrandParams(ZParams(z, z.conjugate()), xi)
-        with pytest.raises(SizeUnderflowError, match=rf"t={gp.t!r}, xi={xi!r}"):
-            _size_cdf(gp, 64)
-        with pytest.raises(SizeUnderflowError):
-            sample_batch(gp, 0, seed=1)
+    @pytest.mark.parametrize("pair, count, seed", [("real_pair", 40_000, 41), ("complex_pair", 3000, 42)])
+    def test_size_law_chi_square(self, pair, count, seed, request):
+        # The bound dof + 6 sqrt(2 dof) sits about 6 standard deviations above the mean of chi-square.
+        gp = GrandParams(request.getfixturevalue(pair), 0.9)
+        chi2, dof = _size_chi_square([lam.n for lam in sample_batch(gp, count, seed).draws], gp)
+        assert dof >= 10
+        assert chi2 <= dof + 6.0 * math.sqrt(2.0 * dof), (chi2, dof)
 
-    def test_smallest_weight_accepted(self):
-        gp = GrandParams(ZParams(0.3 + 8j, 0.3 - 8j), 0.999)  # (1-xi)^t = 5.4e-193
-        assert _size_cdf(gp, 64)[0] == pytest.approx(5.370317963702775e-193, rel=1e-12)
-
-    def test_rounding_deficit_lands_on_last_size(self, real_pair, monkeypatch):
-        # At xi=0.99 the summed weights stop 3.3e-15 short of 1; a uniform
-        # above that total takes the last size that moved it.
-        gp = GrandParams(real_pair, 0.99)
-        lengths = []
-
-        def bounded(gp, length):
-            lengths.append(length)
-            assert length <= 2**20, "the size CDF kept doubling past every weight"
-            return _size_cdf(gp, length)
-
-        monkeypatch.setattr(sampling, "_size_cdf", bounded)
-        full = _size_cdf(gp, 2**13)
-        assert full[-1] < 1.0 and full[-1] == _size_cdf(gp, 2**12)[-1]
-        last = full.index(full[-1])
-        u = math.nextafter(1.0, 0.0)
-        cdf = _size_cdf_covering(gp, _size_cdf(gp, 64), u)
-        assert cdf == full[:last] + (1.0,)
-        assert bisect_right(cdf, u) == last
-        below = math.nextafter(full[-1], 0.0)
-        assert bisect_right(_size_cdf_covering(gp, _size_cdf(gp, 64), below), below) == last
-        assert max(lengths) == 2**13
+    @pytest.mark.parametrize("z, count", [(0.3 + 32j, 3), (0.3 + 40j, 2)])
+    def test_underflowing_weight_drawn(self, z, count):
+        # (1-xi)^t, the weight of the empty diagram, is subnormal at 32i and 0.0 at 40i.
+        gp = GrandParams(ZParams(z, z.conjugate()), 0.5)
+        assert neg_binomial_weight(0, gp.t, gp.xi) < sys.float_info.min
+        sizes = [lam.n for lam in sample_batch(gp, count, seed=8).draws]
+        mean = gp.t * gp.xi / (1.0 - gp.xi)
+        std_err = math.sqrt(gp.t * gp.xi) / (1.0 - gp.xi) / math.sqrt(count)
+        assert len(sizes) == count and abs(sum(sizes) / count - mean) <= 6.0 * std_err, sizes
 
 
 class TestSampleDiagram:
     def test_degenerate_sizes(self, real_pair):
-        rng = np.random.default_rng(3)
-        assert sample_diagram(0, real_pair, rng) == EMPTY_DIAGRAM
-        assert sample_diagram(1, real_pair, rng) == YoungDiagram((1,))
-
-    def test_two_hundred_boxes(self, real_pair):
-        lam = sample_diagram(200, real_pair, np.random.default_rng(3))
-        assert lam.n == 200
+        # A draw whose clock passes tau before its first box is empty; the first box has one place.
+        draws = sample_batch(GrandParams(real_pair, 0.5), 2000, seed=3).draws
+        assert {lam for lam in draws if lam.n <= 1} == {EMPTY_DIAGRAM, YoungDiagram((1,))}
 
     def test_meixner_mode_refused(self):
         gp = GrandParams(ZParams.meixner(3, 0.5), 0.5)
@@ -134,13 +123,13 @@ class TestSampleDiagram:
                 assert prob == pytest.approx(z_measure_n(YoungDiagram(parts), zp), rel=1e-13, abs=0)
 
     def test_two_box_frequencies(self, real_pair):
-        rng = np.random.default_rng(5)
-        n_draws = 20_000
-        hits = sum(
-            sample_diagram(2, real_pair, rng) == YoungDiagram((2,)) for _ in range(n_draws)
-        )
+        # The draws of two boxes, about 2% of these, follow the 2-box z-measure.
+        draws = sample_batch(GrandParams(real_pair, 0.5), 200_000, seed=5).draws
+        two_box = [lam for lam in draws if lam.n == 2]
+        hits = two_box.count(YoungDiagram((2,)))
         p = z_measure_n(YoungDiagram((2,)), real_pair)  # 6/7
-        assert abs(hits / n_draws - p) <= 3.0 * math.sqrt(p * (1 - p) / n_draws)
+        assert len(two_box) >= 2000
+        assert abs(hits / len(two_box) - p) <= 3.0 * math.sqrt(p * (1 - p) / len(two_box))
 
 
 class TestBatches:
@@ -156,25 +145,14 @@ class TestBatches:
         assert sample_batch(gp, 2000, seed=1).draws != sample_batch(gp, 2000, seed=2).draws
 
     def test_pinned_stream(self, complex_pair):
-        # Draws recorded under the zmeasure.sample/2 schema: any change here changes its streams.
+        # Draws recorded under the zmeasure.sample/3 schema: any change here changes its streams.
         batch = sample_batch(GrandParams(complex_pair, 0.5), 200, seed=7)
         assert ";".join(",".join(map(str, lam.parts)) for lam in batch.draws) == PINNED_DRAWS
-
-    @pytest.mark.parametrize("zp", [ZParams(0.5, 1 / 3), ZParams(0.2 + 0.3j, 0.2 - 0.3j)])
-    def test_batch_equals_one_draw_route(self, zp):
-        # At xi=0.99 sizes pass 64, so the batch extends its size CDF too.
-        gp = GrandParams(zp, 0.99)
-        batch = sample_batch(gp, 2000, seed=3)
-        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-        assert batch.draws == tuple(
-            sample_diagram(sample_size(gp, rng), zp, rng) for _ in range(2000)
-        )
-        assert max(lam.n for lam in batch.draws) > 64
 
     def test_meta_fields(self, real_pair):
         gp = GrandParams(real_pair, 0.5)
         meta = sample_batch(gp, 10, seed=0).meta()
-        assert meta["schema"] == "zmeasure.sample/2"
+        assert meta["schema"] == "zmeasure.sample/3"
         assert meta["algorithm"].startswith("numpy-PCG64")
         assert meta["count"] == 10
         assert set(meta) == {"schema", "seed", "algorithm", "count", "z", "z_prime", "xi"}
