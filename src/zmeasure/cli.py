@@ -241,11 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.z is None) != (args.zp is None):
         raise ValueError("--z and --zp must be given together")
     reports = run_suite(args.suite, None if args.z is None else _zparams(args), args.xi)
-    payload = [r.to_dict() for r in reports]
-    if args.out:
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         sys.stderr.write(
@@ -290,11 +286,7 @@ def cmd_meixner(args: argparse.Namespace) -> int:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     report = scaling_limit_check(ZParams(args.z, args.zp), args.u, args.v, args.xi_list)
-    payload = [report.to_dict()]
-    if args.out:
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(json.dumps([report.to_dict()], indent=2), args.out)
     status = "PASS" if report.passed else "FAIL"
     sys.stderr.write(f"suite scaling: {status} ({len(report.cases)} cases)\n")
     return 0 if report.passed else 1

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import AdmissibilityError, GrandParams, ZParams
-from .partitions import ConfigurationError, _as_half_integer
+from .partitions import half_integer_index
 from .specfun import (
     DomainError,
     PoleError,
@@ -88,15 +88,6 @@ def _block_signs(block: str) -> tuple[int, int]:
     if block not in BLOCKS:
         raise ValueError(f"block must be one of {BLOCKS}")
     return _sign(block[0]), _sign(block[1])
-
-
-def half_integer_index(x) -> tuple[int, int]:
-    """Map a half-integer point +-(k + 1/2) to (sign, k)."""
-    try:
-        f = _as_half_integer(x)
-    except ConfigurationError as exc:
-        raise DomainError(str(exc)) from exc
-    return (1 if f > 0 else -1), (abs(f.numerator) - 1) // 2
 
 
 def _require_meixner_block(zp: ZParams, sx: int, sy: int) -> None:
@@ -434,8 +425,11 @@ def hyper_kernel(x, y, gp: GrandParams) -> float:
     Off-diagonal entries are the integrable form of (P, Q) at |x| = k + 1/2;
     same-index diagonal entries of the '++' and '--' blocks the product series.
     """
-    sx, k = half_integer_index(x)
-    sy, l = half_integer_index(y)
+    return _kernel_entry(*half_integer_index(x), *half_integer_index(y), gp)
+
+
+def _kernel_entry(sx: int, k: int, sy: int, l: int, gp: GrandParams) -> float:
+    """:func:`hyper_kernel` at the points sx (k + 1/2) and sy (l + 1/2), given by index."""
     _require_meixner_block(gp.zp, sx, sy)
     if sx == sy and k == l:
         return _diag_series(sx, k, gp)

@@ -6,15 +6,22 @@ half-integer lattice Z' = Z + 1/2 as the balanced point configuration
 {p_i + 1/2} u {-q_i - 1/2}; that embedding (and its inverse on balanced
 configurations) is what connects the measures on partitions to point
 processes on Z'.
+
+A :class:`Configuration` holds each half as a tuple of indices, k for the
+point +-(k + 1/2), so a diagram's configuration is its Frobenius coordinates
+(p | q).  This module alone parses points (:func:`half_integer_index`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+from .specfun import DomainError
 
 
 PARTITION_CAP = 1_000_000
@@ -24,11 +31,8 @@ class PartitionCapError(RuntimeError):
     """Enumerating this n would produce more than ``PARTITION_CAP`` partitions."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DomainError):
     """A point set is not a valid (or not a balanced) lattice configuration."""
-
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -166,82 +170,107 @@ def dimension(diagram: YoungDiagram) -> int:
     return math.factorial(diagram.n) // hooks
 
 
-def _as_half_integer(x) -> Fraction:
+def half_integer_index(x) -> tuple[int, int]:
+    """Map a half-integer point +-(k + 1/2) to (sign, k).
+
+    The one parser of the point format: ``x`` may be anything ``Fraction``
+    takes (an int, a Fraction, a string such as "-3/2") or a float within
+    1e-9 of a half-integer.  Anything else raises :class:`ConfigurationError`.
+    """
     f = Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(2)
     if isinstance(x, float) and abs(float(f) - x) > 1e-9:
         raise ConfigurationError(f"{x!r} is not a half-integer")
     if f.denominator != 2:
         raise ConfigurationError(f"{x!r} is not a half-integer")
-    return f
+    return (1 if f > 0 else -1), (abs(f.numerator) - 1) // 2
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """A finite subset of the half-integer lattice Z' = Z + 1/2.
+    """A finite subset of the half-integer lattice Z' = Z + 1/2, by index.
 
-    Points of the form k + 1/2 (resp. -(k + 1/2)) with k = 0, 1, ... are the
-    positive (resp. negative) half; either half is indexed by k.
+    The point k + 1/2 has index k on the positive half, -(k + 1/2) index k on
+    the negative half; each half is a strictly decreasing tuple of indices
+    (for a diagram, its Frobenius coordinates).  Points as fractions are
+    parsed by :meth:`from_points` and ``in``, and derived by :attr:`points`,
+    :meth:`sorted_points` and :meth:`to_json`.
     """
 
-    points: frozenset[Fraction]
+    positive_indices: tuple[int, ...] = ()
+    negative_indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for x in self.points:
-            if x.denominator != 2:
-                raise ConfigurationError(f"{x} is not a half-integer")
+        for half in (self.positive_indices, self.negative_indices):
+            if not (
+                isinstance(half, tuple)
+                and all(isinstance(k, int) for k in half)
+                and all(a > b for a, b in zip(half, half[1:]))
+                and (not half or half[-1] >= 0)
+            ):
+                raise ConfigurationError(
+                    f"indices must be a strictly decreasing tuple of ints >= 0, got {half!r}"
+                )
 
     @classmethod
     def from_points(cls, points: Iterable) -> "Configuration":
-        return cls(frozenset(_as_half_integer(x) for x in points))
+        """The configuration of the given points, in any order, repeats allowed."""
+        parsed = [half_integer_index(x) for x in points]
+        return cls.from_indices((k for s, k in parsed if s > 0), (k for s, k in parsed if s < 0))
 
     @classmethod
     def from_indices(cls, positive: Iterable[int], negative: Iterable[int]) -> "Configuration":
-        pos = [Fraction(2 * k + 1, 2) for k in positive]
-        neg = [Fraction(-(2 * k + 1), 2) for k in negative]
-        return cls(frozenset(pos + neg))
+        """The configuration with the given indices on each half, in any order, repeats allowed.
 
-    @property
-    def positive_indices(self) -> tuple[int, ...]:
-        """Indices k of points k + 1/2, decreasing."""
-        return tuple(sorted((int(x - HALF) for x in self.points if x > 0), reverse=True))
+        ``operator.index`` takes numpy integers and refuses floats.
+        """
 
-    @property
-    def negative_indices(self) -> tuple[int, ...]:
-        """Indices k of points -(k + 1/2), decreasing."""
-        return tuple(sorted((int(-x - HALF) for x in self.points if x < 0), reverse=True))
+        def half(indices: Iterable[int]) -> tuple[int, ...]:
+            return tuple(sorted({operator.index(k) for k in indices}, reverse=True))
+
+        return cls(half(positive), half(negative))
+
+    @cached_property
+    def points(self) -> frozenset[Fraction]:
+        """The points as exact fractions."""
+        return frozenset(self.sorted_points())
 
     @property
     def is_balanced(self) -> bool:
         return len(self.positive_indices) == len(self.negative_indices)
 
     def contains(self, other: "Configuration") -> bool:
-        return other.points <= self.points
+        return set(other.positive_indices).issubset(self.positive_indices) and set(
+            other.negative_indices
+        ).issubset(self.negative_indices)
 
     def __contains__(self, x) -> bool:
-        return _as_half_integer(x) in self.points
+        sign, k = half_integer_index(x)
+        return k in (self.positive_indices if sign > 0 else self.negative_indices)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.positive_indices) + len(self.negative_indices)
 
     def sorted_points(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.points, reverse=True))
+        """The points as exact fractions, decreasing: positive k down, then negative k up."""
+        return tuple(Fraction(2 * k + 1, 2) for k in self.positive_indices) + tuple(
+            Fraction(-2 * k - 1, 2) for k in reversed(self.negative_indices)
+        )
 
     def to_json(self) -> list[str]:
         """Points as exact fraction strings like "5/2", "-1/2", sorted decreasing."""
-        return [f"{x.numerator}/{x.denominator}" for x in self.sorted_points()]
+        return [str(x) for x in self.sorted_points()]
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "Configuration":
-        return cls.from_points(Fraction(s) for s in items)
+        return cls.from_points(items)
 
 
-EMPTY_CONFIGURATION = Configuration(frozenset())
+EMPTY_CONFIGURATION = Configuration()
 
 
 def to_configuration(diagram: YoungDiagram) -> Configuration:
     """Embed a diagram as the balanced configuration {p_i + 1/2} u {-q_i - 1/2}."""
-    p, q = diagram.frobenius
-    return Configuration.from_indices(p, q)
+    return Configuration(*diagram.frobenius)
 
 
 def from_configuration(config: Configuration) -> YoungDiagram:

@@ -185,19 +185,15 @@ def _lg_scalar(z: complex) -> complex:
     return _lg_recurrence(z)
 
 
-def loggamma(z):
-    """Principal log Gamma of a complex scalar, or entrywise of an array.
+def loggamma(z) -> complex:
+    """Principal log Gamma of a complex scalar.
 
     The branch is the one continuous on the plane cut along the negative real
     axis and real on the positive one, as in mpmath.  On the cut, Im z = +0
     gives mpmath's value and Im z = -0 its conjugate.  Poles and
     non-finite arguments give nan.  The scheme and its measured accuracy are
-    in the module docstring.  An array is done one entry at a time, so an
-    entry gets the same bits as the scalar call.
+    in the module docstring.
     """
-    if isinstance(z, np.ndarray):
-        z = np.asarray(z, dtype=complex)
-        return np.array([_lg_scalar(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
     return _lg_scalar(complex(z))
 
 

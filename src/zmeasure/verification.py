@@ -12,7 +12,7 @@ import cmath
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -24,9 +24,10 @@ import numpy as np
 from .kernels import (
     BLOCKS,
     _block_signs,
+    _gamma_product,
+    _kernel_entry,
     decay_certificate,
     function_table,
-    hyper_kernel,
     kernel_block_matrix,
     kernel_matrix,
     l_matrix,
@@ -43,6 +44,7 @@ from .measures import (
     _log_pochhammer_products,
     _require_admissible,
     mixed_measure,
+    neg_binomial_weight,
     plancherel_measure,
     z_measure_n,
 )
@@ -53,7 +55,6 @@ from .specfun import (
     _is_nonpositive_integer,
     _series_start_index,
     gauss_2f1_w,
-    loggamma,
     meixner_leading_coefficient,
     meixner_norm,
     meixner_polynomial,
@@ -91,15 +92,7 @@ class CheckCase:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _case(label: str, lhs: float, rhs: float, tol: float, mode: str = "abs") -> CheckCase:
@@ -143,6 +136,12 @@ class VerificationReport:
         }
 
 
+def _merged(suite: str, tolerance: float, reports: list[VerificationReport]) -> VerificationReport:
+    """One report with the cases of ``reports`` in order and the sum of their runtimes."""
+    cases = [c for r in reports for c in r.cases]
+    return VerificationReport(suite, tolerance, cases, sum(r.runtime_seconds for r in reports))
+
+
 def _timed(suite: str, tolerance: float | None, builder) -> VerificationReport:
     start = time.perf_counter()
     cases = builder()
@@ -164,8 +163,6 @@ def negative_binomial_tail_bound(t: float, xi: float, n_max: int) -> float:
     r = xi * max(1.0, (t + m) / (m + 1.0))
     if r >= 1.0:
         raise TailBudgetError(f"tail ratio {r} >= 1 at n_max={n_max}")
-    from .measures import neg_binomial_weight
-
     return neg_binomial_weight(m, t, xi) / (1.0 - r)
 
 
@@ -300,13 +297,13 @@ def correlation_det(X: Configuration, gp: GrandParams) -> float:
     entries.  A minor of two or more points on one half is a Gram
     determinant (see ``_one_sided_minor``) and is computed as one.
     """
-    pts = X.sorted_points()
-    if not pts:
+    if not X:
         return 1.0
     pos, neg = X.positive_indices, X.negative_indices
-    if len(pts) >= 2 and not (pos and neg):
+    if len(X) >= 2 and not (pos and neg):
         return _one_sided_minor(pos, 1, gp) if pos else _one_sided_minor(neg, -1, gp)
-    mat = np.array([[hyper_kernel(x, y, gp) for y in pts] for x in pts])
+    pts = [(1, k) for k in pos] + [(-1, k) for k in reversed(neg)]  # decreasing points
+    mat = np.array([[_kernel_entry(*x, *y, gp) for y in pts] for x in pts])
     return float(np.linalg.det(mat))
 
 
@@ -519,14 +516,15 @@ def oracle_check(
     with at most ``max_size`` points.
     """
     gp = GrandParams(zp or DEFAULT_REAL_PAIR, xi)
-    pool = [Fraction(2 * k + 1, 2) for k in range(4)]
-    pool += [-x for x in pool]
+    pool = [(1, k) for k in range(3, -1, -1)] + [(-1, k) for k in range(4)]  # 7/2 down to -7/2
 
     def build() -> list[CheckCase]:
         cases = []
         for size in range(max_size + 1):
-            for pts in combinations(sorted(pool, reverse=True), size):
-                X = Configuration.from_points(pts)
+            for pts in combinations(pool, size):
+                X = Configuration.from_indices(
+                    (k for s, k in pts if s > 0), (k for s, k in pts if s < 0)
+                )
                 oracle, _tail = correlation_oracle(X, gp, n_max, tail_tol)
                 det = correlation_det(X, gp)
                 label = "contains {" + ", ".join(X.to_json()) + "}"
@@ -571,17 +569,6 @@ def fredholm_check(gp: GrandParams, trunc: int | None = None, tol: float = 1e-10
         ]
 
     return _timed("fredholm", tol, build)
-
-
-def fredholm_suite(trunc: int | None = None) -> VerificationReport:
-    real = fredholm_check(GrandParams(DEFAULT_REAL_PAIR, 0.3), trunc)
-    cplx = fredholm_check(GrandParams(COMPLEX_PAIR, 0.5), trunc)
-    return VerificationReport(
-        "fredholm",
-        1e-10,
-        real.cases + cplx.cases,
-        real.runtime_seconds + cplx.runtime_seconds,
-    )
 
 
 def _unity_identity(gp: GrandParams, u: float) -> float:
@@ -825,7 +812,7 @@ def meixner_check(
         worst = worst_cd = 0.0
         for k in range(grid + 1):
             for l in range(grid + 1):
-                hk = hyper_kernel(Fraction(2 * k + 1, 2), Fraction(2 * l + 1, 2), gp)
+                hk = _kernel_entry(1, k, 1, l, gp)
                 mk = meixner_kernel(big_n, alpha, xi, k + big_n, l + big_n)
                 worst = max(worst, abs(hk - mk) / max(abs(mk), 1e-300))
                 if k != l:
@@ -886,9 +873,7 @@ def scaling_limit_check(
                 gp = GrandParams(zp, xi)
                 k = math.floor(u / (1.0 - xi))
                 l = math.floor(v / (1.0 - xi))
-                lattice = hyper_kernel(
-                    su * Fraction(2 * k + 1, 2), sv * Fraction(2 * l + 1, 2), gp
-                ) / (1.0 - xi)
+                lattice = _kernel_entry(su, k, sv, l, gp) / (1.0 - xi)
                 errors.append(abs(lattice - continuum))
             for i in range(1, len(errors)):
                 cases.append(
@@ -907,11 +892,8 @@ def scaling_limit_check(
         gp = GrandParams(zp, xi)
         k = math.floor(x / (1.0 - xi))
         for s, name in ((1, "+"), (-1, "-")):
-            gamma_prod = realize(
-                np.exp(loggamma(1 + s * zp.z) + loggamma(1 + s * zp.z_prime))
-            )
             limit = math.sqrt(
-                math.sqrt(zp.t) * math.exp(-x) * x ** (s * zp.z_sum) / gamma_prod
+                math.sqrt(zp.t) * math.exp(-x) * x ** (s * zp.z_sum) / _gamma_product(s, zp)
             )
             cases.append(
                 _case(
@@ -962,16 +944,14 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
         reports = [oracle_check(zp or DEFAULT_REAL_PAIR, xi or DEFAULT_XI)]
         if zp is None:
             reports.append(oracle_check(COMPLEX_PAIR, xi or DEFAULT_XI))
-        merged = VerificationReport(
-            "oracle",
-            1e-6,
-            [c for r in reports for c in r.cases],
-            sum(r.runtime_seconds for r in reports),
-        )
-        return [merged]
+        return [_merged("oracle", 1e-6, reports)]
     if name == "fredholm":
         if zp is None and xi is None:
-            return [fredholm_suite()]
+            reports = [
+                fredholm_check(GrandParams(DEFAULT_REAL_PAIR, 0.3)),
+                fredholm_check(GrandParams(COMPLEX_PAIR, 0.5)),
+            ]
+            return [_merged("fredholm", 1e-10, reports)]
         return [fredholm_check(GrandParams(zp or DEFAULT_REAL_PAIR, xi or DEFAULT_XI))]
     if name == "identities":
         gps = (
@@ -981,13 +961,7 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
         )
         reports = [identity_suite(gp) for gp in gps]
         reports.append(operator_identity_check())
-        merged = VerificationReport(
-            "identities",
-            1e-12,
-            [c for r in reports for c in r.cases],
-            sum(r.runtime_seconds for r in reports),
-        )
-        return [merged]
+        return [_merged("identities", 1e-12, reports)]
     if name == "meixner":
         return [meixner_check() if xi is None else meixner_check(xi=xi)]
     if name == "scaling":

@@ -30,6 +30,7 @@ from zmeasure.kernels import (
     whittaker_q,
 )
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams
+from zmeasure.partitions import ConfigurationError
 from zmeasure.verification import _diag_derivative_route, _meixner_kernel_cd
 from zmeasure.specfun import DomainError, PoleError, _reseed_stride, gauss_2f1_w, realize
 
@@ -106,6 +107,11 @@ class TestHalfIntegerIndex:
             half_integer_index(1.0)
         with pytest.raises(DomainError):
             half_integer_index(0.3)
+
+    def test_configuration_error_is_a_domain_error(self, gp02):
+        assert issubclass(ConfigurationError, DomainError)
+        with pytest.raises(ConfigurationError):
+            hyper_kernel(1, 0.5, gp02)
 
 
 class TestPsi:

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,7 +135,7 @@ class TestDimension:
 
 class TestConfiguration:
     def test_empty_embedding(self):
-        assert to_configuration(EMPTY_DIAGRAM) == Configuration(frozenset())
+        assert to_configuration(EMPTY_DIAGRAM) == Configuration()
 
     def test_single_box(self):
         conf = to_configuration(YoungDiagram((1,)))
@@ -176,3 +178,43 @@ class TestConfiguration:
         conf = Configuration.from_indices([2, 0], [1])
         assert conf.positive_indices == (2, 0)
         assert conf.negative_indices == (1,)
+
+    @pytest.mark.parametrize(
+        "positive,negative",
+        [((-1,), ()), ((), (2, -1)), ((0.0,), ()), ((), ("1",)), ((), (np.int64(2),)),
+         ((0, 1), ()), ((1, 1), ()), ([1, 0], ()), ((), None)],
+    )
+    def test_constructor_refuses_invalid_indices(self, positive, negative):
+        with pytest.raises(ConfigurationError):
+            Configuration(positive, negative)
+
+    @given(st.lists(st.integers(0, 30)), st.lists(st.integers(0, 30)), st.randoms())
+    def test_order_and_repeats_do_not_matter(self, pos, neg, rnd):
+        expected = Configuration(
+            tuple(sorted(set(pos), reverse=True)), tuple(sorted(set(neg), reverse=True))
+        )
+        points = [Fraction(2 * k + 1, 2) for k in pos] + [Fraction(-2 * k - 1, 2) for k in neg]
+        rnd.shuffle(points)
+        assert Configuration.from_points(points + points[:3]) == expected
+        assert Configuration.from_indices(pos[::-1] + pos, neg[::-1]) == expected
+
+    def test_from_indices_takes_numpy_ints_and_refuses_floats(self):
+        assert Configuration.from_indices(np.array([0, 3]), np.arange(2)) == Configuration((3, 0), (1, 0))
+        with pytest.raises(TypeError):
+            Configuration.from_indices([1.0], [])
+
+    def test_to_configuration_holds_frobenius_coordinates(self):
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                p, q = lam.frobenius
+                conf = to_configuration(lam)
+                assert conf == Configuration(p, q)
+                assert conf.points == {Fraction(2 * k + 1, 2) for k in p} | {
+                    Fraction(-2 * k - 1, 2) for k in q
+                }
+
+    def test_membership_and_length(self):
+        conf = Configuration((4, 1), (0,))
+        assert len(conf) == 3
+        assert "9/2" in conf and -0.5 in conf and Fraction(3, 2) in conf
+        assert 0.5 not in conf and "-3/2" not in conf

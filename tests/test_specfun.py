@@ -49,17 +49,9 @@ class TestRealize:
 
 
 class TestLoggamma:
-    def test_array_form_matches_scalar(self):
-        z = np.array([0.5, 3.0 + 2.0j, 40.0 - 7.5j])
-        out = loggamma(z)
-        assert out.dtype == complex
-        assert [complex(v) for v in out] == [loggamma(v) for v in z]
-
     def test_scalars_give_python_complex(self):
         for z in (0.5, 3, 2.0 - 1.0j, np.float64(4.5), np.complex128(1.0 + 1.0j)):
-            out = loggamma(z)
-            assert type(out) is complex
-            assert out == complex(loggamma(np.array([z]))[0])
+            assert type(loggamma(z)) is complex
 
 
 def _mp_loggamma(z: complex) -> complex:
@@ -68,13 +60,11 @@ def _mp_loggamma(z: complex) -> complex:
 
 
 def _lg_grid_error(z: np.ndarray) -> float:
-    """Worst |lg - mpmath| / max(1, |mpmath|) of the array form over ``z``; the scalar
-    form must give the same bits."""
-    out = loggamma(z)
-    assert [loggamma(v) for v in z.tolist()] == out.tolist()
+    """Worst |lg - mpmath| / max(1, |mpmath|) over ``z``."""
+    values = z.tolist()
     return max(
         abs(v - ref) / max(1.0, abs(ref))
-        for v, ref in zip(out.tolist(), map(_mp_loggamma, z.tolist()))
+        for v, ref in zip(map(loggamma, values), map(_mp_loggamma, values))
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zmeasure.kernels as kernels
+import zmeasure.partitions as partitions
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, mixed_measure
 from zmeasure.partitions import (
     Configuration,
@@ -30,6 +31,7 @@ from zmeasure.verification import (
     normalization_check,
     oracle_check,
     run_suite,
+    scaling_limit_check,
 )
 from zmeasure.kernels import POINT_CACHE_SIZE, decay_certificate, hyper_kernel, kernel_block_matrix, pq
 
@@ -251,6 +253,18 @@ class TestCorrelationDet:
         det = correlation_det(X, gp02)
         oracle, _ = correlation_oracle(X, gp02, n_max=26)
         assert det == pytest.approx(oracle, rel=1e-6)
+
+
+class TestSuitesPassIndices:
+    def test_no_suite_parses_a_half_integer(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError(f"a suite parsed the point {x!r}")
+
+        monkeypatch.setattr(kernels, "half_integer_index", refuse)
+        monkeypatch.setattr(partitions, "half_integer_index", refuse)
+        assert oracle_check(ZParams(0.5, 1.0 / 3.0), 0.2).passed
+        assert meixner_check().passed
+        assert scaling_limit_check().passed
 
 
 class TestSuites:
