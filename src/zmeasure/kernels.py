@@ -3,12 +3,14 @@
 The determinantal process attached to the grand ensemble is generated by a
 block-antidiagonal operator L built from the positive weights psi(+/-, k) and
 the Cauchy-type matrix W(k, l) = 1/(k+l+1).  Its correlation kernel
-K = L(1+L)^(-1) is an integrable operator in one pair (P, Q) per half-line:
-(P(x)Q(y) - Q(x)P(y))/(|x| - |y|) for x, y on one half-line and
-sign(x) (P(x)P(y) + Q(x)Q(y))/(|x| + |y|) across the halves.  On the lattice
-|x| = k + 1/2 and P, Q are normalized hypergeometric functions; the Whittaker
-kernel, the continuum limit, has the same form in Whittaker functions.
-:func:`_integrable_form` is the one place it is written.
+K = L(1+L)^(-1) is a discrete integrable operator: in signed coordinates one
+identity holds on all four blocks, (x - y) K(x, y) = f(x) . g(y), with
+f = (P, Q), g = (Q, -P) at positive points and f = (Q, -P), g = (P, Q) at
+negative ones (:func:`_generators`).  P and Q are normalized hypergeometric
+functions; the Whittaker kernel, the continuum limit, has the same form in
+Whittaker functions.  :func:`_kernel_values` assembles every lattice value;
+blocks and full matrices read P and Q from the function table, single
+entries and point sets from the cached point route.
 
 Index convention, fixed once: the positive point k + 1/2 corresponds to row or
 column k of the '++' block, the negative point -(k + 1/2) to index k of the
@@ -27,9 +29,10 @@ blocks reach xi = 0.9999 (about 480000 rows) and single entries xi = 0.99999.
 
 Diagonal entries of the '++' and '--' blocks are defined by a removable
 singularity; they come from the convergent series of the product form of the
-block (K++ = CD, K-- = DC).  The operator suite checks them against the
-derivative of the integrable form, evaluated in mpmath.  The Whittaker
-diagonal is the closed derivative of the integrable form.
+block (K++ = CD, K-- = DC), evaluated at the requested indices only
+(:func:`_diagonal`).  The operator suite checks them against the derivative
+of the integrable form, evaluated in mpmath.  The Whittaker diagonal is the
+closed derivative of the integrable form.
 
 Meixner-mode parameters (z = N + alpha, z' = N) expose only the '++' block of
 the lattice kernel and only positive points of the continuum kernel; every
@@ -94,16 +97,6 @@ def _require_meixner_block(zp: ZParams, sx: int, sy: int) -> None:
     """Raise AdmissibilityError for meixner-mode parameters unless both signs are positive."""
     if zp.meixner_mode and not (sx > 0 and sy > 0):
         raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
-
-
-def _integrable_form(sx, px, qx, ax, sy, py, qy, ay):
-    """The kernel between x = sx * ax and y = sy * ay from (P, Q) at each point; arrays broadcast.
-
-    (px qy - qx py) / (ax - ay) on one half-line, sx (px py + qx qy) / (ax + ay) across.
-    """
-    if sx == sy:
-        return (px * qy - qx * py) / (ax - ay)
-    return sx * (px * py + qx * qy) / (ax + ay)
 
 
 @lru_cache(maxsize=256)
@@ -382,58 +375,84 @@ def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
 DIAG_CHUNK = 256  # most rows of ks per weight matrix in _diag_sums
 
 
-def _diag_sums(sign: int, ks: np.ndarray, tbl: FunctionTable) -> np.ndarray:
-    """Rows [sum_j R_(-s)(j) / (k+j+1)^2, sum_j S_(-s)(j) / (k+j+1)^2] for k in ``ks``.
+def _diag_sums(ks: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Rows [sum_j R(j) / (k+j+1)^2, sum_j S(j) / (k+j+1)^2] for k in ``ks``; ``other`` holds (R, S).
 
     The weights are formed at most DIAG_CHUNK rows, and at most as many
     entries as DIAG_CHUNK rows of the 46040-row table at xi = 0.999, at a
-    time, so memory stays bounded however many indices are asked for and
-    however long the table is.
+    time, so memory stays bounded however many indices are asked for.
     """
-    other = np.column_stack(tbl.columns(-sign)[:2])
-    j = np.arange(tbl.size)
+    j = np.arange(len(other))
     out = np.empty((len(ks), 2))
-    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // tbl.size))
+    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // len(other)))
     for start in range(0, len(ks), rows):
         chunk = ks[start:start + rows]
         out[start:start + rows] = (1.0 / (chunk[:, None] + j[None, :] + 1.0) ** 2) @ other
     return out
 
 
-def _diag_series(sign: int, k: int, gp: GrandParams) -> float:
-    """Diagonal entry of the '++' or '--' block by the convergent product series.
-
-    Equals sum_j [R_s(k) R_(-s)(j) + S_s(k) S_(-s)(j)] / (k+j+1)^2; the tail is
-    controlled by the exponential decay certificate of psi.
+def _diagonal(sign: int, ks: np.ndarray, r, s, gp: GrandParams, tbl: FunctionTable | None) -> np.ndarray:
+    """K(x, x) at the points sign (k + 1/2), k in ``ks`` only, from R and S there: the product series
+    sum_j [R_s(k) R_(-s)(j) + S_s(k) S_(-s)(j)] / (k+j+1)^2 of K++ = CD and K-- = DC, over ``tbl``
+    (default: the cached table of ``gp``), or over j < z' where psi(-) of meixner mode vanishes beyond.
     """
-    rk, sk = rs(sign, k, gp)
     if gp.zp.meixner_mode:
-        # psi(-) vanishes identically beyond z', so the series is a finite sum.
-        j_max = int(gp.zp.z_prime.real)
-        total = 0.0
-        for j in range(j_max):
-            rj, sj = rs(-sign, j, gp)
-            total += (rk * rj + sk * sj) / (k + j + 1.0) ** 2
-        return total
-    r_sum, s_sum = _diag_sums(sign, np.array([k]), function_table(gp))[0]
-    return float(rk * r_sum + sk * s_sum)
+        other = np.array([rs(-sign, j, gp) for j in range(int(gp.zp.z_prime.real))]).reshape(-1, 2)
+    else:
+        other = np.column_stack((tbl if tbl is not None else function_table(gp)).columns(-sign)[:2])
+    sums = _diag_sums(ks, other)
+    return r * sums[:, 0] + s * sums[:, 1]
+
+
+def _generators(s, p, q):
+    """(f, g) = ((P, Q), (Q, -P)) at s > 0 and ((Q, -P), (P, Q)) at s < 0; numbers or arrays."""
+    pos = np.greater(s, 0)
+    return (np.where(pos, p, q), np.where(pos, q, -p)), (np.where(pos, q, p), np.where(pos, -p, q))
+
+
+def _assemble(x, f, y, g):
+    """f(x) . g(y) / (x - y) at signed abscissae, numbers or arrays; 0/0 where x = y."""
+    with np.errstate(invalid="ignore"):
+        return (np.multiply.outer(f[0], g[0]) + np.multiply.outer(f[1], g[1])) / np.subtract.outer(x, y)
+
+
+def _half_line(sign: int, n: int) -> np.ndarray:
+    """The points sign (k + 1/2), k = 0..n-1, as (sign, index) rows."""
+    return np.column_stack((np.full(n, sign), np.arange(n)))
+
+
+def _kernel_values(rows, cols, gp: GrandParams, tbl: FunctionTable | None = None) -> np.ndarray:
+    """K between two lists of (sign, index) points: every lattice kernel value comes from here.
+
+    :func:`_assemble` over the generators, and :func:`_diagonal` at a point both lists
+    hold.  P, Q, R and S come from ``tbl`` if given, else from the cached point route.
+    """
+    sx, kx = np.asarray(rows, dtype=np.int64).reshape(-1, 2).T
+    sy, ky = np.asarray(cols, dtype=np.int64).reshape(-1, 2).T
+    _require_meixner_block(gp.zp, sx.min(initial=1), sy.min(initial=1))
+
+    def values(point, signs, ks):  # point(s, k) for pq or rs, or the same columns of the table
+        if tbl is None:
+            return np.array([point(s, k, gp) for s, k in zip(signs.tolist(), ks.tolist())]).reshape(-1, 2).T
+        at = slice(2, 4) if point is pq else slice(0, 2)
+        return [np.where(signs > 0, a[ks], b[ks]) for a, b in zip(tbl.columns(1)[at], tbl.columns(-1)[at])]
+
+    f, _ = _generators(sx, *values(pq, sx, kx))
+    _, g = _generators(sy, *values(pq, sy, ky))
+    x, y = sx * (kx + 0.5), sy * (ky + 0.5)
+    entries = _assemble(x, f, y, g)
+    i, j = np.nonzero(np.equal.outer(x, y))
+    for sign in (1, -1):
+        on = sx[i] == sign
+        if on.any():
+            ks = kx[i[on]]
+            entries[i[on], j[on]] = _diagonal(sign, ks, *values(rs, sx[i[on]], ks), gp, tbl)
+    return entries
 
 
 def hyper_kernel(x, y, gp: GrandParams) -> float:
-    """The correlation kernel K(x, y) at half-integer points.
-
-    Off-diagonal entries are the integrable form of (P, Q) at |x| = k + 1/2;
-    same-index diagonal entries of the '++' and '--' blocks the product series.
-    """
-    return _kernel_entry(*half_integer_index(x), *half_integer_index(y), gp)
-
-
-def _kernel_entry(sx: int, k: int, sy: int, l: int, gp: GrandParams) -> float:
-    """:func:`hyper_kernel` at the points sx (k + 1/2) and sy (l + 1/2), given by index."""
-    _require_meixner_block(gp.zp, sx, sy)
-    if sx == sy and k == l:
-        return _diag_series(sx, k, gp)
-    return _integrable_form(sx, *pq(sx, k, gp), k + 0.5, sy, *pq(sy, l, gp), l + 0.5)
+    """The correlation kernel K(x, y) at half-integer points, by the cached point route."""
+    return float(_kernel_values([half_integer_index(x)], [half_integer_index(y)], gp)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -467,47 +486,20 @@ class KernelBlock:
 
 
 def kernel_block_matrix(gp: GrandParams, block: str, trunc: int) -> KernelBlock:
-    """Assemble a truncated kernel block as a dense matrix.
-
-    The integrable form over (P, Q) columns of the function table, or of the
-    point route for the meixner-mode '++' block; a '++' or '--' diagonal comes
-    from the product series.  ``trunc`` must be at least 1.
-    """
+    """A truncated kernel block from the function table (the point route in meixner mode); trunc >= 1."""
     sx, sy = _block_signs(block)
     if trunc < 1:
         raise DomainError(f"trunc must be at least 1, got {trunc}")
-    _require_meixner_block(gp.zp, sx, sy)
-    k = np.arange(trunc)
-    if gp.zp.meixner_mode:
-        cols = {1: np.array([pq(1, i, gp) for i in range(trunc)]).T}
-        diag = [_diag_series(1, i, gp) for i in range(trunc)]
-    else:
-        tbl = function_table(gp, trunc)
-        cols = {s: tbl.columns(s)[2:] for s in (1, -1)}
-        if sx == sy:
-            r, s = tbl.columns(sx)[:2]
-            sums = _diag_sums(sx, k, tbl)
-            diag = r[:trunc] * sums[:, 0] + s[:trunc] * sums[:, 1]
-    (px, qx), (py, qy) = cols[sx], cols[sy]
-    a = k + 0.5
-    with np.errstate(invalid="ignore"):  # 0/0 on a same-sign diagonal, replaced below
-        entries = _integrable_form(
-            sx, px[:trunc, None], qx[:trunc, None], a[:, None],
-            sy, py[None, :trunc], qy[None, :trunc], a[None, :],
-        )
-    if sx == sy:
-        np.fill_diagonal(entries, diag)
+    tbl = None if gp.zp.meixner_mode else function_table(gp, trunc)
+    entries = _kernel_values(_half_line(sx, trunc), _half_line(sy, trunc), gp, tbl)
     return KernelBlock(block, trunc, gp, entries)
 
 
 def kernel_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
-    """Full 2N x 2N kernel in the same index layout as :func:`l_matrix`."""
-    out = np.zeros((2 * trunc, 2 * trunc))
-    out[:trunc, :trunc] = kernel_block_matrix(gp, "++", trunc).entries
-    out[:trunc, trunc:] = kernel_block_matrix(gp, "+-", trunc).entries
-    out[trunc:, :trunc] = kernel_block_matrix(gp, "-+", trunc).entries
-    out[trunc:, trunc:] = kernel_block_matrix(gp, "--", trunc).entries
-    return out
+    """Full 2N x 2N kernel in the same index layout as :func:`l_matrix`, in one pass."""
+    _require_meixner_block(gp.zp, -1, -1)
+    points = np.concatenate((_half_line(1, trunc), _half_line(-1, trunc)))
+    return _kernel_values(points, points, gp, function_table(gp, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +608,10 @@ def _whittaker_diag(sign: int, x: float, zp: ZParams) -> float:
 def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
     """The continuum correlation kernel on the punctured real line.
 
-    The integrable form of (P, Q) = (whittaker_p, whittaker_q) at |u| and
-    |v|, with the signs of u and v choosing the half-lines; the same-sign
-    diagonal is its closed derivative.  Meixner-mode parameters allow only
-    u, v > 0.
+    f(u) . g(v) / (u - v) over the generators (:func:`_generators`) of
+    (P, Q) = (whittaker_p, whittaker_q) at |u| and |v|, the same form as the
+    lattice kernel; the diagonal is its closed derivative.  Meixner-mode
+    parameters allow only u, v > 0.
     """
     if u == 0.0 or v == 0.0:
         raise DomainError("the kernel is defined on nonzero reals")
@@ -628,7 +620,6 @@ def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
     x, y = abs(u), abs(v)
     if u == v:
         return _whittaker_diag(su, x, zp)
-    return _integrable_form(
-        su, whittaker_p(su, x, zp), whittaker_q(su, x, zp), x,
-        sv, whittaker_p(sv, y, zp), whittaker_q(sv, y, zp), y,
-    )
+    f, _ = _generators(su, whittaker_p(su, x, zp), whittaker_q(su, x, zp))
+    _, g = _generators(sv, whittaker_p(sv, y, zp), whittaker_q(sv, y, zp))
+    return float(_assemble(u, f, v, g))

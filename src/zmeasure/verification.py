@@ -14,7 +14,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -25,7 +25,8 @@ from .kernels import (
     BLOCKS,
     _block_signs,
     _gamma_product,
-    _kernel_entry,
+    _half_line,
+    _kernel_values,
     decay_certificate,
     function_table,
     kernel_block_matrix,
@@ -75,6 +76,7 @@ PARAMETER_SETS = (
 )
 DEFAULT_XI = 0.2
 DEFAULT_U_GRID = (0.4, 1.3, 2.3, 3.7, 5.9)
+OPERATOR_MAX_ROWS = 1000  # largest truncation of the operator check's dense 2N x 2N solve
 
 
 class TailBudgetError(RuntimeError):
@@ -291,40 +293,45 @@ def correlation_oracle(
 
 
 def correlation_det(X: Configuration, gp: GrandParams) -> float:
-    """The same containment probability as a kernel minor, det K restricted to X.
-
-    A minor with points on both halves is the determinant of its kernel
-    entries.  A minor of two or more points on one half is a Gram
-    determinant (see ``_one_sided_minor``) and is computed as one.
-    """
-    if not X:
-        return 1.0
-    pos, neg = X.positive_indices, X.negative_indices
-    if len(X) >= 2 and not (pos and neg):
-        return _one_sided_minor(pos, 1, gp) if pos else _one_sided_minor(neg, -1, gp)
-    pts = [(1, k) for k in pos] + [(-1, k) for k in reversed(neg)]  # decreasing points
-    mat = np.array([[_kernel_entry(*x, *y, gp) for y in pts] for x in pts])
-    return float(np.linalg.det(mat))
+    """The same containment probability as a kernel minor, det K restricted to X (:func:`_minors`)."""
+    points = [(1, k) for k in X.positive_indices] + [(-1, k) for k in reversed(X.negative_indices)]
+    return _minors(points, [tuple(range(len(points)))], gp)[0]
 
 
-def _one_sided_minor(indices: tuple[int, ...], sign: int, gp: GrandParams) -> float:
-    """det K restricted to the points of one half with the given indices.
+def _minors(points: list[tuple[int, int]], subsets, gp: GrandParams) -> list[float]:
+    """det K on each subset (positions in ``points``, (sign, index) pairs in decreasing point order).
 
-    The block forms of K = L(1+L)^(-1), with A the '+-' block of L, give
+    A minor with points on both halves, or of one point, is the determinant
+    of the kernel on ``points``, built once.  A minor of two or more points
+    on one half is a Gram determinant, from one Gram factor per half: the
+    block forms of K = L(1+L)^(-1), with A the '+-' block of L, give
     K_ss = U (1 + B) U^T, where U is the 's,-s' block of K and B = A^T A
-    for s = + (A A^T for s = -).  So the minor is (prod diag R)^2 for the
-    QR factorisation of (U_X M)^T, M the Cholesky factor of 1 + B, and the
-    Gram matrix is never formed: at small xi these minors are nearly
-    singular, and the determinant of their entries loses up to 1e-6 of its
-    value, where this form keeps about 1e-13.  Both blocks are truncated at
-    the decay certificate.
+    for s = + (A A^T for s = -), both truncated at the decay certificate.
+    With M the Cholesky factor of 1 + B, the minor is (prod diag R)^2 for
+    the QR factorisation of the transpose of its rows of U M.  The Gram
+    matrix is never formed: at small xi these minors are nearly singular,
+    and the determinant of their entries loses up to 1e-6 of its value,
+    where this form keeps about 1e-13.
     """
-    n = max(decay_certificate(gp), max(indices) + 1)
-    a = l_matrix(gp, n)[:n, n:]
-    u = kernel_block_matrix(gp, "+-" if sign > 0 else "-+", n).entries[list(indices)]
-    m = np.linalg.cholesky(np.eye(n) + (a.T @ a if sign > 0 else a @ a.T))
-    r = np.linalg.qr((u @ m).T, mode="r")
-    return float(np.prod(np.diag(r)) ** 2)
+    kernel = cache(lambda: _kernel_values(points, points, gp))
+
+    @cache
+    def gram(sign: int) -> dict[int, np.ndarray]:  # the rows of U M, by position in ``points``
+        on = [i for i, (s, _k) in enumerate(points) if s == sign]
+        n = max(decay_certificate(gp), max(points[i][1] for i in on) + 1)
+        a = l_matrix(gp, n)[:n, n:]
+        u = _kernel_values([points[i] for i in on], _half_line(-sign, n), gp, function_table(gp, n))
+        m = np.linalg.cholesky(np.eye(n) + (a.T @ a if sign > 0 else a @ a.T))
+        return dict(zip(on, u @ m))
+
+    def minor(sub: tuple[int, ...]) -> float:
+        halves = {points[i][0] for i in sub}
+        if len(sub) < 2 or len(halves) > 1:
+            return np.linalg.det(kernel()[np.ix_(sub, sub)])
+        rows = gram(halves.pop())
+        return np.prod(np.diag(np.linalg.qr(np.array([rows[i] for i in sub]).T, mode="r"))) ** 2
+
+    return [float(minor(sub)) for sub in subsets]
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +520,19 @@ def oracle_check(
     """Kernel minors against the brute-force containment probabilities.
 
     Runs over every configuration drawn from the eight points +-1/2 .. +-7/2
-    with at most ``max_size`` points.
+    with at most ``max_size`` points; every minor comes from one kernel on
+    the eight points and one Gram factor per half (:func:`_minors`).
     """
     gp = GrandParams(zp or DEFAULT_REAL_PAIR, xi)
     pool = [(1, k) for k in range(3, -1, -1)] + [(-1, k) for k in range(4)]  # 7/2 down to -7/2
+    subsets = [sub for size in range(max_size + 1) for sub in combinations(range(len(pool)), size)]
 
     def build() -> list[CheckCase]:
         cases = []
-        for size in range(max_size + 1):
-            for pts in combinations(pool, size):
-                X = Configuration.from_indices(
-                    (k for s, k in pts if s > 0), (k for s, k in pts if s < 0)
-                )
-                oracle, _tail = correlation_oracle(X, gp, n_max, tail_tol)
-                det = correlation_det(X, gp)
-                label = "contains {" + ", ".join(X.to_json()) + "}"
-                cases.append(_case(label, det, oracle, rel_tol, "rel"))
+        for sub, det in zip(subsets, _minors(pool, subsets, gp)):
+            X = Configuration.from_indices(*([pool[i][1] for i in sub if pool[i][0] == s] for s in (1, -1)))
+            oracle, _tail = correlation_oracle(X, gp, n_max, tail_tol)
+            cases.append(_case("contains {" + ", ".join(X.to_json()) + "}", det, oracle, rel_tol, "rel"))
         return cases
 
     return _timed("oracle", rel_tol, build)
@@ -721,11 +725,20 @@ def _diag_derivative_route(sign: int, k: int, gp: GrandParams) -> float:
 
 
 def operator_identity_check(
-    gp: GrandParams | None = None, trunc: int = 80, tol: float = 1e-8, small: int = 15
+    gp: GrandParams, trunc: int | None = None, tol: float = 1e-8, small: int = 15
 ) -> VerificationReport:
-    """Entrywise kernel against the dense resolvent and the block product relations."""
-    gp = gp or GrandParams(DEFAULT_REAL_PAIR, 0.3)
+    """Entrywise kernel against the dense resolvent and the block product relations.
+
+    ``trunc`` defaults to the decay certificate of ``gp``; one above
+    OPERATOR_MAX_ROWS is refused with ValueError.  Both diagonals are
+    checked against the derivative route at k <= 10.
+    """
+    if trunc is None:
+        trunc = decay_certificate(gp)
     params = f"{_pair_name(gp.zp)}, xi={gp.xi}, trunc={trunc}"
+    if trunc > OPERATOR_MAX_ROWS:
+        raise ValueError(f"the operator check needs {trunc} rows at {params}, above {OPERATOR_MAX_ROWS}")
+    small = min(small, trunc)
 
     def build() -> list[CheckCase]:
         cases = []
@@ -761,25 +774,25 @@ def operator_identity_check(
         nw = n_mat @ w
         wn = w @ n_mat
         wnw = w @ n_mat @ w - w
-        err_nw = err_wn = err_wnw = 0.0
-        for i in range(small):
-            for j in range(small):
-                if i != j:
-                    closed = (r_p[i] * s_p[j] - s_p[i] * r_p[j]) / (psi_p[j] * (i - j))
-                    err_nw = max(err_nw, abs(nw[i, j] - closed))
-                    closed = (r_m[i] * s_m[j] - s_m[i] * r_m[j]) / (psi_m[i] * (i - j))
-                    err_wn = max(err_wn, abs(wn[i, j] - closed))
-                closed = -(r_m[i] * r_p[j] + s_m[i] * s_p[j]) / (psi_m[i] * psi_p[j] * (i + j + 1.0))
-                err_wnw = max(err_wnw, abs(wnw[i, j] - closed))
-        cases.append(_case(f"NW closed form, indices < {small}, {params}", err_nw, 0.0, tol))
-        cases.append(_case(f"WN closed form, indices < {small}, {params}", err_wn, 0.0, tol))
-        cases.append(_case(f"WNW - W closed form, indices < {small}, {params}", err_wnw, 0.0, tol))
-        for k in range(11):
-            series = k_entry[k, k]
-            deriv = _diag_derivative_route(1, k, gp)
-            cases.append(
-                _case(f"diagonal series vs derivative route, k={k}, {params}", series, deriv, 1e-12, "rel")
-            )
+        i, j = np.ogrid[:small, :small]
+        off = np.broadcast_to(i != j, (small, small))
+        with np.errstate(divide="ignore", invalid="ignore"):  # i = j, left out by ``off``
+            nw_closed = (r_p[i] * s_p[j] - s_p[i] * r_p[j]) / (psi_p[j] * (i - j))
+            wn_closed = (r_m[i] * s_m[j] - s_m[i] * r_m[j]) / (psi_m[i] * (i - j))
+        wnw_closed = -(r_m[i] * r_p[j] + s_m[i] * s_p[j]) / (psi_m[i] * psi_p[j] * (i + j + 1.0))
+        for name, gaps in (
+            ("NW", np.abs(nw[:small, :small] - nw_closed)[off]),
+            ("WN", np.abs(wn[:small, :small] - wn_closed)[off]),
+            ("WNW - W", np.abs(wnw[:small, :small] - wnw_closed)),
+        ):
+            gap = float(gaps.max(initial=0.0))
+            cases.append(_case(f"{name} closed form, indices < {small}, {params}", gap, 0.0, tol))
+        for sign, offset, name in ((1, 0, "++"), (-1, trunc, "--")):
+            for k in range(min(11, trunc)):
+                series = k_entry[offset + k, offset + k]
+                deriv = _diag_derivative_route(sign, k, gp)
+                label = f"{name} diagonal series vs derivative route, k={k}, {params}"
+                cases.append(_case(label, series, deriv, 1e-12, "rel"))
         return cases
 
     return _timed("operator", tol, build)
@@ -810,11 +823,11 @@ def meixner_check(
     def build() -> list[CheckCase]:
         cases = []
         worst = worst_cd = 0.0
+        block = kernel_block_matrix(gp, "++", grid + 1).entries
         for k in range(grid + 1):
             for l in range(grid + 1):
-                hk = _kernel_entry(1, k, 1, l, gp)
                 mk = meixner_kernel(big_n, alpha, xi, k + big_n, l + big_n)
-                worst = max(worst, abs(hk - mk) / max(abs(mk), 1e-300))
+                worst = max(worst, abs(block[k, l] - mk) / max(abs(mk), 1e-300))
                 if k != l:
                     cd = _meixner_kernel_cd(big_n, alpha, xi, k + big_n, l + big_n)
                     worst_cd = max(worst_cd, abs(cd - mk) / max(abs(mk), abs(cd), 1e-300))
@@ -873,7 +886,7 @@ def scaling_limit_check(
                 gp = GrandParams(zp, xi)
                 k = math.floor(u / (1.0 - xi))
                 l = math.floor(v / (1.0 - xi))
-                lattice = _kernel_entry(su, k, sv, l, gp) / (1.0 - xi)
+                lattice = _kernel_values([(su, k)], [(sv, l)], gp)[0, 0] / (1.0 - xi)
                 errors.append(abs(lattice - continuum))
             for i in range(1, len(errors)):
                 cases.append(
@@ -959,9 +972,8 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
             if zp is not None
             else [GrandParams(DEFAULT_REAL_PAIR, xi or DEFAULT_XI), GrandParams(COMPLEX_PAIR, xi or DEFAULT_XI)]
         )
-        reports = [identity_suite(gp) for gp in gps]
-        reports.append(operator_identity_check())
-        return [_merged("identities", 1e-12, reports)]
+        operators = [operator_identity_check(gp) for gp in gps]  # refuses a too large certificate first
+        return [_merged("identities", 1e-12, [identity_suite(gp) for gp in gps] + operators)]
     if name == "meixner":
         return [meixner_check() if xi is None else meixner_check(xi=xi)]
     if name == "scaling":

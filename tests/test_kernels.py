@@ -10,7 +10,6 @@ from zmeasure.kernels import (
     BLOCKS,
     DIAG_CHUNK,
     FunctionTable,
-    _diag_series,
     decay_certificate,
     function_table,
     half_integer_index,
@@ -279,7 +278,7 @@ class TestFunctionTable:
         assert function_table(gp).size >= trunc  # the block and the series share one table
         diag = np.diag(kernel_block_matrix(gp, "++", trunc).entries)
         for k in (0, DIAG_CHUNK - 2, DIAG_CHUNK - 1, DIAG_CHUNK, DIAG_CHUNK + 1, trunc - 1):
-            ref = _diag_series(1, k, gp)
+            ref = hyper_kernel(point(1, k), point(1, k), gp)
             assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
 
     @pytest.mark.parametrize("block", BLOCKS)
@@ -328,7 +327,7 @@ class TestHyperKernel:
         for gp in (gp03, GrandParams(complex_pair, gp03.xi)):
             for sign in (1, -1):
                 for k in range(4):
-                    series = _diag_series(sign, k, gp)
+                    series = hyper_kernel(point(sign, k), point(sign, k), gp)
                     deriv = _diag_derivative_route(sign, k, gp)
                     assert series == pytest.approx(deriv, rel=1e-12), (gp.zp, sign, k)
 
@@ -365,6 +364,15 @@ class TestHyperKernel:
         entry = kernel_matrix(gp03, trunc)
         assert np.max(np.abs(dense - entry)) <= 1e-10
 
+    @pytest.mark.parametrize("zp", [ZParams(0.5, 1.0 / 3.0), ZParams(0.5 + 1.5j, 0.5 - 1.5j)])
+    def test_matrix_quadrants_are_the_blocks_bitwise(self, zp):
+        gp = GrandParams(zp, 0.6)
+        trunc = 25
+        kmat = kernel_matrix(gp, trunc)
+        for block, rows, cols in (("++", 0, 0), ("+-", 0, 1), ("-+", 1, 0), ("--", 1, 1)):
+            quadrant = kmat[rows * trunc:(rows + 1) * trunc, cols * trunc:(cols + 1) * trunc]
+            assert np.array_equal(quadrant, kernel_block_matrix(gp, block, trunc).entries), block
+
     def test_block_products(self, gp03):
         trunc = 40
         kmat = kernel_matrix(gp03, trunc)
@@ -394,7 +402,7 @@ class TestNearOne:
         assert function_table(gp).size == 479778
         # that many rows bound the diagonal weights to 24 rows at a time: both sides of each seam
         for k in (0, 23, 24, 47, 48, 49):
-            ref = _diag_series(1, k, gp)
+            ref = hyper_kernel(point(1, k), point(1, k), gp)
             assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
 
     @pytest.mark.parametrize("zp", [ZParams(0.5, 1.0 / 3.0), ZParams(0.5 + 1.5j, 0.5 - 1.5j)])

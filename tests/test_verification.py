@@ -17,6 +17,7 @@ from zmeasure.partitions import (
     to_configuration,
 )
 from zmeasure.verification import (
+    OPERATOR_MAX_ROWS,
     TailBudgetError,
     VerificationReport,
     _case,
@@ -29,6 +30,7 @@ from zmeasure.verification import (
     meixner_check,
     negative_binomial_tail_bound,
     normalization_check,
+    operator_identity_check,
     oracle_check,
     run_suite,
     scaling_limit_check,
@@ -248,6 +250,22 @@ class TestCorrelationDet:
         entries = np.array([[hyper_kernel(x, y, gp) for y in pts] for x in pts])
         assert correlation_det(X, gp) == pytest.approx(np.linalg.det(entries), rel=1e-12)
 
+    def test_pool_minors_match_the_oracle_suite(self, real_pair):
+        gp = GrandParams(real_pair, 0.2)
+        report = oracle_check(real_pair, 0.2)
+        assert len(report.cases) == len(POOL_SUBSETS) == 93
+        by_label = {c.label: c.lhs for c in report.cases}
+        for X in POOL_SUBSETS:
+            suite = by_label["contains {" + ", ".join(X.to_json()) + "}"]
+            assert correlation_det(X, gp) == pytest.approx(suite, rel=1e-11, abs=0.0), X.to_json()
+
+    def test_oracle_suite_sums_the_diagonal_series_once_per_half(self, monkeypatch, real_pair):
+        calls = []
+        diag_sums = kernels._diag_sums
+        monkeypatch.setattr(kernels, "_diag_sums", lambda *args: calls.append(1) or diag_sums(*args))
+        assert oracle_check(real_pair, 0.25).passed
+        assert len(calls) == 2
+
     def test_triple_against_oracle(self, gp02):
         X = Configuration.from_points(["1/2", "3/2", "-1/2"])
         det = correlation_det(X, gp02)
@@ -349,9 +367,23 @@ class TestSuites:
 
     def test_identities_operator_cases_name_their_parameters(self, complex_pair):
         (report,) = run_suite("identities", complex_pair, 0.4)
+        assert report.passed, report.failures()
         operator = [c.label for c in report.cases if "u=" not in c.label]
-        assert len(operator) == 18
-        assert all(label.endswith("pair (0.5, 0.333333), xi=0.3, trunc=80") for label in operator)
+        assert len(operator) == 29
+        trunc = decay_certificate(GrandParams(complex_pair, 0.4))
+        assert all(label.endswith(f"pair (0.5+1.5i, 0.5-1.5i), xi=0.4, trunc={trunc}") for label in operator)
+        for name in ("++", "--"):
+            diag = [label for label in operator if label.startswith(f"{name} diagonal series vs derivative")]
+            assert len(diag) == 11
+
+    def test_operator_check_refuses_a_dense_system_above_its_row_limit(self, real_pair):
+        gp = GrandParams(real_pair, 0.98)
+        trunc = decay_certificate(gp)
+        assert trunc > OPERATOR_MAX_ROWS
+        with pytest.raises(ValueError, match=f"needs {trunc} rows"):
+            operator_identity_check(gp)
+        with pytest.raises(ValueError, match=f"needs {trunc} rows"):
+            run_suite("identities", real_pair, 0.98)
 
     def test_normalization_suite(self):
         report = normalization_check(n_max=6)
