@@ -31,8 +31,11 @@ Diagonal entries of the '++' and '--' blocks are defined by a removable
 singularity; they come from the convergent series of the product form of the
 block (K++ = CD, K-- = DC), evaluated at the requested indices only
 (:func:`_diagonal`).  The operator suite checks them against the derivative
-of the integrable form, evaluated in mpmath.  The Whittaker diagonal is the
-closed derivative of the integrable form.
+of the integrable form, with its 2F1 values and their derivatives taken in
+mpmath.  The Whittaker kernel takes W in floats (:func:`whittaker_w`, which
+turns to mpmath only for a value whose cancellation ratio asks for it): P
+and Q at a point come from one run of W, and the Whittaker diagonal, the
+closed derivative of the integrable form, from one run of three.
 
 Meixner-mode parameters (z = N + alpha, z' = N) expose only the '++' block of
 the lattice kernel and only positive points of the continuum kernel; every
@@ -571,37 +574,39 @@ def _gamma_product(sign: int, zp: ZParams) -> float:
     return g
 
 
-def _whittaker_w(sign: int, shift: float, x: float, zp: ZParams) -> float:
-    """W_(kappa, mu)(x) at kappa = (sign (z + z') + shift) / 2 and mu = (z - z') / 2."""
-    return whittaker_w((sign * zp.z_sum + shift) / 2.0, (zp.z - zp.z_prime) / 2.0, x)
+def _whittaker_run(sign: int, x: float, zp: ZParams, count: int) -> np.ndarray:
+    """W_(kappa, mu)(x) at mu = (z - z') / 2 and kappa = (sign (z + z') + shift) / 2, for the
+    shifts -1, 1, ... of one recurrence (:func:`whittaker_w` with ``count``)."""
+    return whittaker_w((sign * zp.z_sum - 1.0) / 2.0, (zp.z - zp.z_prime) / 2.0, x, count)
 
 
-def _whittaker_component(sign, shift: float, x: float, zp: ZParams) -> float:
-    """t^((2 - shift)/4) (Gamma(1 + s z) Gamma(1 + s z') x)^(-1/2) W at shift 1 (P) or -1 (Q)."""
-    s = _sign(sign)
-    if x <= 0:
-        raise DomainError("x must be positive")
-    prefactor = 1.0 / math.sqrt(_gamma_product(s, zp) * x)
-    return zp.t ** ((2.0 - shift) / 4.0) * prefactor * _whittaker_w(s, shift, x, zp)
+def _whittaker_pq(sign: int, x: float, zp: ZParams, gamma: float) -> tuple[float, float]:
+    """(P, Q) at x > 0 from W at shifts 1 and -1: t^((2 - shift)/4) (gamma x)^(-1/2) W, with
+    ``gamma`` the :func:`_gamma_product` of the sign."""
+    w_q, w_p = _whittaker_run(sign, x, zp, 2)
+    prefactor = 1.0 / math.sqrt(gamma * x)
+    return zp.t**0.25 * prefactor * w_p, zp.t**0.75 * prefactor * w_q
 
 
 def whittaker_p(sign, x: float, zp: ZParams) -> float:
     """First Whittaker-function component of the continuum kernel."""
-    return _whittaker_component(sign, 1.0, x, zp)
+    s = _sign(sign)
+    return _whittaker_pq(s, x, zp, _gamma_product(s, zp))[0]
 
 
 def whittaker_q(sign, x: float, zp: ZParams) -> float:
     """Second Whittaker-function component of the continuum kernel."""
-    return _whittaker_component(sign, -1.0, x, zp)
+    s = _sign(sign)
+    return _whittaker_pq(s, x, zp, _gamma_product(s, zp))[1]
 
 
 def _whittaker_diag(sign: int, x: float, zp: ZParams) -> float:
-    """K(x, x) = Q P' - P Q', from W at kappa - 1, kappa and kappa + 1.
+    """K(x, x) = Q P' - P Q', from W at kappa - 1, kappa and kappa + 1 (one run of three).
 
     W'_kappa = (1/2 - kappa/x) W_kappa - W_(kappa+1)/x (DLMF 13.15), and the
     derivatives of the x^(-1/2) prefactors cancel.
     """
-    w0, w1, w2 = (_whittaker_w(sign, shift, x, zp) for shift in (-1.0, 1.0, 3.0))
+    w0, w1, w2 = _whittaker_run(sign, x, zp, 3)
     return zp.t / (_gamma_product(sign, zp) * x * x) * (w1 * w1 - w0 * w1 - w0 * w2)
 
 
@@ -609,9 +614,9 @@ def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
     """The continuum correlation kernel on the punctured real line.
 
     f(u) . g(v) / (u - v) over the generators (:func:`_generators`) of
-    (P, Q) = (whittaker_p, whittaker_q) at |u| and |v|, the same form as the
-    lattice kernel; the diagonal is its closed derivative.  Meixner-mode
-    parameters allow only u, v > 0.
+    (P, Q) = (whittaker_p, whittaker_q) at |u| and |v|, each pair from one run
+    of W, the same form as the lattice kernel; the diagonal is its closed
+    derivative.  Meixner-mode parameters allow only u, v > 0.
     """
     if u == 0.0 or v == 0.0:
         raise DomainError("the kernel is defined on nonzero reals")
@@ -620,6 +625,7 @@ def whittaker_kernel(u: float, v: float, zp: ZParams) -> float:
     x, y = abs(u), abs(v)
     if u == v:
         return _whittaker_diag(su, x, zp)
-    f, _ = _generators(su, whittaker_p(su, x, zp), whittaker_q(su, x, zp))
-    _, g = _generators(sv, whittaker_p(sv, y, zp), whittaker_q(sv, y, zp))
+    gamma = {s: _gamma_product(s, zp) for s in {su, sv}}
+    f, _ = _generators(su, *_whittaker_pq(su, x, zp, gamma[su]))
+    _, g = _generators(sv, *_whittaker_pq(sv, y, zp, gamma[sv]))
     return float(_assemble(u, f, v, g))

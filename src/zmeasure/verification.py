@@ -55,6 +55,7 @@ from .specfun import (
     PoleError,
     _is_nonpositive_integer,
     _series_start_index,
+    _whittaker_w_mp,
     gauss_2f1_w,
     meixner_leading_coefficient,
     meixner_norm,
@@ -872,7 +873,9 @@ def scaling_limit_check(
 
     For each block the error sequence along ``xi_list`` must strictly decrease
     and the final error must meet ``final_tol``.  Also checks the weight
-    prefactor limit and the direct hypergeometric-to-Whittaker limit.
+    prefactor limit, the direct hypergeometric-to-Whittaker limit, and the
+    float route of :func:`whittaker_w` against its mpmath fallback at the
+    kernel's values of kappa.
     """
     zp = zp or DEFAULT_REAL_PAIR
 
@@ -926,6 +929,22 @@ def scaling_limit_check(
             mu = (a - b) / 2.0
             rhs = x ** realize((a + b - 1.0) / 2.0) * math.exp(x / 2.0) * whittaker_w(kappa, mu, x)
             cases.append(_case(f"hypergeometric limit at x={x}", lhs, rhs, 1e-2, "rel"))
+        # The float route of W against mpmath, at each distinct kappa of the kernel's
+        # shifts -1, 1, 3 of both signs.
+        mu = (zp.z - zp.z_prime) / 2.0
+        mu_label = f"{mu.real:.6g}" if mu.imag == 0.0 else f"{mu.imag:.6g}i"
+        kappas = dict.fromkeys((s * zp.z_sum + shift) / 2.0 for s in (1, -1) for shift in (-1.0, 1.0, 3.0))
+        for kappa in kappas:
+            for x in (0.4, 1.3, 5.0):
+                cases.append(
+                    _case(
+                        f"Whittaker W float vs mpmath, κ={kappa:.6g}, μ={mu_label}, x={x}",
+                        whittaker_w(kappa, mu, x),
+                        realize(_whittaker_w_mp(kappa, mu, x)),
+                        1e-13,
+                        "rel",
+                    )
+                )
         return cases
 
     return _timed("scaling", final_tol, build)

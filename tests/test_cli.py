@@ -210,7 +210,9 @@ class TestShortcutCommands:
     def test_scaling_to_xi_0_99999(self, capsys, pair):
         code, out, err = run(capsys, "scaling", *pair, "--xi-list", "0.9,0.99,0.999,0.9999,0.99999")
         assert code == 0, err
-        assert len(json.loads(out)[0]["cases"]) == 25
+        # 25 limit cases, and the float Whittaker W against mpmath at three x for each
+        # distinct kappa: six for the real pair, four for the conjugate pair (z + z' = 1)
+        assert len(json.loads(out)[0]["cases"]) == 25 + 3 * (4 if pair else 6)
 
     def test_scaling_quick(self, capsys):
         code, out, err = run(capsys, "scaling", "--xi-list", "0.9,0.99")

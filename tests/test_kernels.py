@@ -601,7 +601,8 @@ class TestWhittakerKernel:
                 value = whittaker_kernel(sign * x, sign * x, zp)
                 assert abs(value - ref) <= 1e-12 * abs(ref), x
 
-    def test_diagonal_makes_three_whittaker_calls(self, real_pair, monkeypatch):
+    def test_one_whittaker_run_per_point(self, real_pair, monkeypatch):
+        # the diagonal's three shifts come from one recurrence, and so do P and Q at each point
         original, calls = kernels.whittaker_w, []
 
         def counted(*args):
@@ -612,7 +613,21 @@ class TestWhittakerKernel:
         for sign in (1, -1):
             calls.clear()
             assert math.isfinite(whittaker_kernel(sign * 1.3, sign * 1.3, real_pair))
-            assert len(calls) == 3
+            assert [args[3] for args in calls] == [3]
+            calls.clear()
+            assert math.isfinite(whittaker_kernel(sign * 1.3, -sign * 0.7, real_pair))
+            assert [args[3] for args in calls] == [2, 2]
+
+    @pytest.mark.parametrize("zp", [ZParams(0.5, 1.0 / 3.0), ZParams(-0.4, -0.7)])
+    def test_real_pairs_take_the_float_route(self, zp, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.whitw was called")
+
+        monkeypatch.setattr(mpmath, "whitw", refuse)
+        pts = (0.4, 0.9, 1.3, 2.6, 5.0)
+        for u in pts + tuple(-p for p in pts):
+            for v in pts + tuple(-p for p in pts):
+                assert math.isfinite(whittaker_kernel(u, v, zp))
 
     def test_components_real_for_conjugate_pair(self, complex_pair):
         for s in ("+", "-"):

@@ -427,3 +427,54 @@ class TestWhittakerW:
             whittaker_w(0.1, 0.1, -1.0)
         with pytest.raises(DomainError):
             whittaker_w(0.1, 0.3 + 0.4j, 1.0)
+        with pytest.raises(DomainError):
+            whittaker_w(0.1, 0.1, np.array([1.0, 0.0]))
+
+    def test_shapes(self):
+        xs = np.array([[0.4, 1.3], [5.0, 20.0]])
+        assert isinstance(whittaker_w(0.3, 0.2, 1.3), float)
+        assert whittaker_w(0.3, 0.2, xs).shape == (2, 2)
+        run = whittaker_w(0.3, 0.2, xs, 3)
+        assert run.shape == (2, 2, 3)
+        assert run[1, 0, 2] == pytest.approx(whittaker_w(2.3, 0.2, 5.0), rel=1e-14)
+        assert whittaker_w(0.3, 0.2, 1.3, 2).shape == (2,)
+
+    @staticmethod
+    def _kernel_runs(z, z_prime, xs):
+        """Each sign's run at the kernel's shifts -1, 1, 3, with its (kappa, mu)."""
+        mu = (z - z_prime) / 2.0
+        for sign in (1, -1):
+            kappa = (sign * (z + z_prime).real - 1.0) / 2.0
+            yield kappa, mu, whittaker_w(kappa, mu, np.array(xs), 3)
+
+    @pytest.mark.parametrize(
+        "z, z_prime",
+        [(0.5, 1.0 / 3.0), (-0.4, -0.7), (1.5, 1.3), (0.9, 0.95), (0.5 + 1.5j, 0.5 - 1.5j),
+         (1.5, 1.0), (3.5, 3.0), (5.5, 5.0)],  # the last three: meixner mode (N + alpha, N)
+    )
+    def test_grid_against_mpmath(self, z, z_prime):
+        xs = (0.05, 0.4, 1.3, 5.0, 20.0, 60.0)
+        for kappa, mu, run in self._kernel_runs(z, z_prime, xs):
+            for i, x in enumerate(xs):
+                for j in range(3):
+                    with mpmath.workdps(40):
+                        ref = float(mpmath.re(mpmath.whitw(kappa + j, mpmath.mpc(mu), x)))
+                    assert abs(run[i, j] - ref) <= 1e-13 * abs(ref), (kappa + j, x)
+
+    @pytest.mark.parametrize("z", [0.3 + 4j, 0.3 + 8j])
+    def test_cancelling_values_fall_back_to_mpmath(self, z, monkeypatch):
+        original, calls = specfun._whittaker_w_mp, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(specfun, "_whittaker_w_mp", counted)
+        xs = (0.4, 1.3, 5.0)
+        for kappa, mu, run in self._kernel_runs(z, z.conjugate(), xs):
+            for i, x in enumerate(xs):
+                for j in range(3):
+                    with mpmath.workdps(40):
+                        ref = float(mpmath.re(mpmath.whitw(kappa + j, mpmath.mpc(mu), x)))
+                    assert abs(run[i, j] - ref) <= 1e-12 * abs(ref), (kappa + j, x)
+        assert calls

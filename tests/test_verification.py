@@ -286,6 +286,11 @@ class TestSuitesPassIndices:
 
 
 class TestSuites:
+    def test_scaling_checks_float_whittaker_against_mpmath(self):
+        cases = [c for c in scaling_limit_check().cases if c.label.startswith("Whittaker W float vs mpmath")]
+        assert len(cases) == 18  # six distinct kappa of (1/2, 1/3), three x each
+        assert all(c.passed and c.tol == 1e-13 for c in cases)
+
     def test_case_modes(self):
         assert _case("x", 1.0, 1.0 + 1e-13, 1e-12).passed
         assert not _case("x", 1.0, 1.1, 1e-12).passed
