@@ -8,16 +8,16 @@ identity holds on all four blocks, (x - y) K(x, y) = f(x) . g(y), with
 f = (P, Q), g = (Q, -P) at positive points and f = (Q, -P), g = (P, Q) at
 negative ones (:func:`_generators`).  P and Q are normalized hypergeometric
 functions; the Whittaker kernel, the continuum limit, has the same form in
-Whittaker functions.  :func:`_kernel_values` assembles every lattice value;
-blocks and full matrices read P and Q from the function table, single
-entries and point sets from the cached point route.
+Whittaker functions.  :func:`_kernel_values` assembles every lattice value
+from (sqrt(psi), P, Q) at its points: from the function table for blocks and
+any request with a same-point entry, else from :func:`_point` once per point.
 
 Index convention, fixed once: the positive point k + 1/2 corresponds to row or
 column k of the '++' block, the negative point -(k + 1/2) to index k of the
 '--' block.
 
-Single entries (:func:`psi`, :func:`rs`, :func:`pq`, :func:`hyper_kernel`)
-sum one Pfaff series per hypergeometric factor.  Whole blocks come from a
+Point values (:func:`psi`, :func:`rs`, :func:`pq`, :func:`_point`) sum one
+Pfaff series per hypergeometric factor.  Whole blocks come from a
 :class:`FunctionTable`, whose hypergeometric columns are series seeds plus a
 backward recurrence in the lower parameter (:func:`gauss_2f1_columns`), so a
 table costs O(size) rather than O(size / (1 - xi)).  Both routes take
@@ -74,11 +74,6 @@ BLOCKS = ("++", "+-", "-+", "--")
 
 DECAY_CERTIFICATE_RATIO = 1e-16
 TABLE_MARGIN = 40  # table rows kept past the decay certificate
-# Entries of each point cache (``_log_psi_cached``, ``_hg_cached``).  Their keys
-# carry the parameter set, so entries of a parameter set a caller has left are
-# never hit again; an oracle op leaves 8 in each.  ``run_suite("all")`` uses at
-# most 82.
-POINT_CACHE_SIZE = 4096
 
 
 def _sign(sign) -> int:
@@ -102,7 +97,6 @@ def _require_meixner_block(zp: ZParams, sx: int, sy: int) -> None:
         raise AdmissibilityError("meixner-mode parameters expose only the '++' block")
 
 
-@lru_cache(maxsize=256)
 def _log_psi_offset(sign: int, gp: GrandParams) -> complex:
     """The index-free terms of log psi: log t / 2 + s (z + z') log(1 - xi) - lg(1 + sz) - lg(1 + sz')."""
     zp = gp.zp
@@ -143,14 +137,8 @@ def _log_psi_column(sign: int, n: int, gp: GrandParams) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=POINT_CACHE_SIZE)
-def _log_psi_cached(sign: int, u: float, gp: GrandParams) -> complex:
-    """:func:`_log_psi` at one point, after a check that no gamma argument is a pole.
-
-    Bounded at ``POINT_CACHE_SIZE``: its keys carry the parameter set, and
-    the entries of a parameter set that no caller asks for again would
-    otherwise stay for the life of the process.
-    """
+def _log_psi_checked(sign: int, u: float, gp: GrandParams) -> complex:
+    """:func:`_log_psi` at one point, after a check that no gamma argument is a pole."""
     for v in (u + 1 + sign * gp.zp.z, u + 1 + sign * gp.zp.z_prime, u + 1):
         if _is_nonpositive_integer(v, tol=1e-12):
             raise PoleError(f"gamma argument {complex(v).real} is a nonpositive integer")
@@ -179,16 +167,11 @@ def psi(sign, u: float, gp: GrandParams) -> float:
     s = _sign(sign)
     if gp.zp.meixner_mode and s < 0:
         return _meixner_psi_minus(float(u), gp)
-    return realize(np.exp(_log_psi_cached(s, float(u), gp)))
+    return realize(np.exp(_log_psi_checked(s, float(u), gp)))
 
 
-@lru_cache(maxsize=POINT_CACHE_SIZE)
-def _hg_cached(sign: int, u: float, gp: GrandParams) -> tuple[float, float]:
-    """The hypergeometric factors (H, G): (R, S) = psi (H, G) and (P, Q) = sqrt(psi) (H, G).
-
-    Bounded at ``POINT_CACHE_SIZE``, like :func:`_log_psi_cached`, so a run
-    over many parameter sets keeps a flat memory profile.
-    """
+def _hg(sign: int, u: float, gp: GrandParams) -> tuple[float, float]:
+    """The hypergeometric factors (H, G): (R, S) = psi (H, G) and (P, Q) = sqrt(psi) (H, G)."""
     zp = gp.zp
     xi = gp.xi
     h = realize(gauss_2f1_w(-sign * zp.z, -sign * zp.z_prime, u + 1.0, xi))
@@ -205,30 +188,33 @@ def rs(sign, u: float, gp: GrandParams) -> tuple[float, float]:
     p = psi(s, u, gp)
     if p == 0.0:
         return 0.0, 0.0
-    h, g = _hg_cached(s, float(u), gp)
+    h, g = _hg(s, float(u), gp)
     return p * h, p * g
 
 
-def pq(sign, u: float, gp: GrandParams) -> tuple[float, float]:
-    """Normalized pair (P, Q) = (R, S) / sqrt(psi) = sqrt(psi) (H, G); needs psi > 0.
+def _point(sign: int, u: float, gp: GrandParams) -> tuple[float, float, float]:
+    """(sqrt(psi), P, Q) at one point, the row a :class:`FunctionTable` holds there; needs psi > 0.
 
-    sqrt(psi) is exp(log(psi) / 2), so P and Q stay finite and nonzero where
-    psi itself underflows.
+    sqrt(psi) is exp(log(psi) / 2), so P = sqrt(psi) H and Q = sqrt(psi) G
+    stay finite and nonzero where psi itself underflows.
     """
-    s = _sign(sign)
-    u = float(u)
-    if gp.zp.meixner_mode and s < 0:
-        p = psi(s, u, gp)
+    if gp.zp.meixner_mode and sign < 0:
+        p = psi(sign, u, gp)
         if p <= 0.0:
             raise DomainError(f"psi(-, {u}) is not positive")
         root = math.sqrt(p)
     else:
-        lp = _log_psi_cached(s, u, gp)
+        lp = _log_psi_checked(sign, u, gp)
         if realize(cmath.exp(1j * lp.imag)) <= 0.0:
-            raise DomainError(f"psi({'+' if s > 0 else '-'}, {u}) is not positive")
+            raise DomainError(f"psi({'+' if sign > 0 else '-'}, {u}) is not positive")
         root = math.exp(0.5 * lp.real)
-    h, g = _hg_cached(s, u, gp)
-    return root * h, root * g
+    h, g = _hg(sign, u, gp)
+    return root, root * h, root * g
+
+
+def pq(sign, u: float, gp: GrandParams) -> tuple[float, float]:
+    """Normalized pair (P, Q) = (R, S) / sqrt(psi) = sqrt(psi) (H, G) at one point (:func:`_point`)."""
+    return _point(_sign(sign), float(u), gp)[1:]
 
 
 @lru_cache(maxsize=256)
@@ -283,6 +269,12 @@ class FunctionTable:
         else:
             root, p, q = self.root_minus, self.p_minus, self.q_minus
         return p * root, q * root, p, q
+
+    def at(self, signs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """(sqrt(psi), P, Q) at the points (signs, ks), as three rows: the table's :func:`_point`."""
+        pos = signs > 0
+        pairs = ((self.root_plus, self.root_minus), (self.p_plus, self.p_minus), (self.q_plus, self.q_minus))
+        return np.array([np.where(pos, plus[ks], minus[ks]) for plus, minus in pairs])
 
     @classmethod
     def build(cls, gp: GrandParams, size: int | None = None) -> "FunctionTable":
@@ -378,32 +370,35 @@ def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
 DIAG_CHUNK = 256  # most rows of ks per weight matrix in _diag_sums
 
 
-def _diag_sums(ks: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Rows [sum_j R(j) / (k+j+1)^2, sum_j S(j) / (k+j+1)^2] for k in ``ks``; ``other`` holds (R, S).
+def _diag_sums(ks: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows [sum_j r(j) / (k+j+1)^2, sum_j s(j) / (k+j+1)^2] for k in ``ks``, over the columns r and s.
 
+    Each row is a sum of its own, so an entry does not depend on which other
+    indices are asked for (a matrix product's does, through the BLAS tiling).
     The weights are formed at most DIAG_CHUNK rows, and at most as many
     entries as DIAG_CHUNK rows of the 46040-row table at xi = 0.999, at a
     time, so memory stays bounded however many indices are asked for.
     """
-    j = np.arange(len(other))
+    j = np.arange(len(r))
     out = np.empty((len(ks), 2))
-    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // len(other)))
+    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // len(r)))
     for start in range(0, len(ks), rows):
-        chunk = ks[start:start + rows]
-        out[start:start + rows] = (1.0 / (chunk[:, None] + j[None, :] + 1.0) ** 2) @ other
+        weights = 1.0 / (ks[start:start + rows, None] + j[None, :] + 1.0) ** 2
+        out[start:start + rows, 0] = (weights * r).sum(axis=1)
+        out[start:start + rows, 1] = (weights * s).sum(axis=1)
     return out
 
 
 def _diagonal(sign: int, ks: np.ndarray, r, s, gp: GrandParams, tbl: FunctionTable | None) -> np.ndarray:
     """K(x, x) at the points sign (k + 1/2), k in ``ks`` only, from R and S there: the product series
-    sum_j [R_s(k) R_(-s)(j) + S_s(k) S_(-s)(j)] / (k+j+1)^2 of K++ = CD and K-- = DC, over ``tbl``
-    (default: the cached table of ``gp``), or over j < z' where psi(-) of meixner mode vanishes beyond.
+    sum_j [R_s(k) R_(-s)(j) + S_s(k) S_(-s)(j)] / (k+j+1)^2 of K++ = CD and K-- = DC, over ``tbl``,
+    or in meixner mode (``tbl`` None) over j < z', where psi(-) vanishes beyond.
     """
     if gp.zp.meixner_mode:
-        other = np.array([rs(-sign, j, gp) for j in range(int(gp.zp.z_prime.real))]).reshape(-1, 2)
+        other = np.array([rs(-sign, j, gp) for j in range(int(gp.zp.z_prime.real))]).reshape(-1, 2).T
     else:
-        other = np.column_stack((tbl if tbl is not None else function_table(gp)).columns(-sign)[:2])
-    sums = _diag_sums(ks, other)
+        other = tbl.columns(-sign)[:2]
+    sums = _diag_sums(ks, *other)
     return r * sums[:, 0] + s * sums[:, 1]
 
 
@@ -427,34 +422,38 @@ def _half_line(sign: int, n: int) -> np.ndarray:
 def _kernel_values(rows, cols, gp: GrandParams, tbl: FunctionTable | None = None) -> np.ndarray:
     """K between two lists of (sign, index) points: every lattice kernel value comes from here.
 
-    :func:`_assemble` over the generators, and :func:`_diagonal` at a point both lists
-    hold.  P, Q, R and S come from ``tbl`` if given, else from the cached point route.
+    :func:`_assemble` over the generators, and :func:`_diagonal` at a point both lists hold.
+    sqrt(psi), P and Q come from ``tbl``; without one, from the cached table if a point is in
+    both lists (its diagonal sums over it), else (and in meixner mode) from :func:`_point`, once each.
     """
     sx, kx = np.asarray(rows, dtype=np.int64).reshape(-1, 2).T
     sy, ky = np.asarray(cols, dtype=np.int64).reshape(-1, 2).T
     _require_meixner_block(gp.zp, sx.min(initial=1), sy.min(initial=1))
-
-    def values(point, signs, ks):  # point(s, k) for pq or rs, or the same columns of the table
-        if tbl is None:
-            return np.array([point(s, k, gp) for s, k in zip(signs.tolist(), ks.tolist())]).reshape(-1, 2).T
-        at = slice(2, 4) if point is pq else slice(0, 2)
-        return [np.where(signs > 0, a[ks], b[ks]) for a, b in zip(tbl.columns(1)[at], tbl.columns(-1)[at])]
-
-    f, _ = _generators(sx, *values(pq, sx, kx))
-    _, g = _generators(sy, *values(pq, sy, ky))
     x, y = sx * (kx + 0.5), sy * (ky + 0.5)
+    same = np.equal.outer(x, y)
+    if tbl is None and not gp.zp.meixner_mode and same.any():
+        tbl = function_table(gp, int(max(kx.max(), ky.max())) + 1)
+    if tbl is None:
+        points = list(zip(np.concatenate((sx, sy)).tolist(), np.concatenate((kx, ky)).tolist()))
+        at = {(s, k): _point(s, float(k), gp) for s, k in dict.fromkeys(points)}
+        values = np.array([at[point] for point in points]).reshape(-1, 3).T
+        fx, fy = values[:, :len(sx)], values[:, len(sx):]
+    else:
+        fx, fy = tbl.at(sx, kx), tbl.at(sy, ky)
+    f, _ = _generators(sx, *fx[1:])
+    _, g = _generators(sy, *fy[1:])
     entries = _assemble(x, f, y, g)
-    i, j = np.nonzero(np.equal.outer(x, y))
+    i, j = np.nonzero(same)
     for sign in (1, -1):
         on = sx[i] == sign
         if on.any():
-            ks = kx[i[on]]
-            entries[i[on], j[on]] = _diagonal(sign, ks, *values(rs, sx[i[on]], ks), gp, tbl)
+            root, p, q = fx[:, i[on]]
+            entries[i[on], j[on]] = _diagonal(sign, kx[i[on]], root * p, root * q, gp, tbl)
     return entries
 
 
 def hyper_kernel(x, y, gp: GrandParams) -> float:
-    """The correlation kernel K(x, y) at half-integer points, by the cached point route."""
+    """The correlation kernel K(x, y) at half-integer points (:func:`_kernel_values`)."""
     return float(_kernel_values([half_integer_index(x)], [half_integer_index(y)], gp)[0, 0])
 
 

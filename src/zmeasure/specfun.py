@@ -615,14 +615,14 @@ def _tricomi_u_start(a: complex, b: complex, x: np.ndarray) -> tuple[np.ndarray,
 
 
 def _whittaker_w_mp(kappa: float, mu: complex, x: float) -> complex:
-    """W by mpmath's confluent connection: the fallback of :func:`whittaker_w`.
+    """W by mpmath's ``whitw`` at 25 digits: the fallback of :func:`whittaker_w`.
 
-    The working precision is padded by ~0.44 digits per unit of x because the
-    two connection terms cancel like e^x.  Degenerate 2 mu integer is handled
-    by mpmath's internal limit evaluation.
+    ``whitw`` raises its own working precision against the cancellation of
+    its connection terms (about e^x, and more at large |Im mu|), so no
+    padding is needed here.  Degenerate 2 mu integer is handled by mpmath's
+    internal limit evaluation.
     """
-    dps = 25 + int(0.46 * x) + int(2.0 * abs(mu.imag))
-    with mpmath.workdps(dps):
+    with mpmath.workdps(25):
         if mu.imag == 0.0:
             v = mpmath.whitw(kappa, mu.real, x)
         else:

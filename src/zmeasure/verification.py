@@ -881,16 +881,16 @@ def scaling_limit_check(
 
     def build() -> list[CheckCase]:
         cases = []
+        lattice = []  # the four blocks at each xi, from one 2 x 2 request
+        for xi in xi_list:
+            k = math.floor(u / (1.0 - xi))
+            l = math.floor(v / (1.0 - xi))
+            entries = _kernel_values([(1, k), (-1, k)], [(1, l), (-1, l)], GrandParams(zp, xi))
+            lattice.append(entries / (1.0 - xi))
         for block in BLOCKS:
             su, sv = _block_signs(block)
             continuum = whittaker_kernel(su * u, sv * v, zp)
-            errors = []
-            for xi in xi_list:
-                gp = GrandParams(zp, xi)
-                k = math.floor(u / (1.0 - xi))
-                l = math.floor(v / (1.0 - xi))
-                lattice = _kernel_values([(su, k)], [(sv, l)], gp)[0, 0] / (1.0 - xi)
-                errors.append(abs(lattice - continuum))
+            errors = [abs(entries[(1 - su) // 2, (1 - sv) // 2] - continuum) for entries in lattice]
             for i in range(1, len(errors)):
                 cases.append(
                     _case(

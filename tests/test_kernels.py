@@ -331,6 +331,26 @@ class TestHyperKernel:
                     deriv = _diag_derivative_route(sign, k, gp)
                     assert series == pytest.approx(deriv, rel=1e-12), (gp.zp, sign, k)
 
+    @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+    def test_diagonal_entry_is_the_blocks_bitwise(self, family):
+        gp = GrandParams(TABLE_FAMILIES[family], 0.7)
+        for block, sign in (("++", 1), ("--", -1)):
+            entries = kernel_block_matrix(gp, block, 9).entries
+            for k in range(9):
+                assert hyper_kernel(point(sign, k), point(sign, k), gp) == entries[k, k], (block, k)
+
+    def test_point_source_runs_once_per_distinct_point(self, gp03, monkeypatch):
+        calls = []
+        source = kernels._point
+        monkeypatch.setattr(kernels, "_point", lambda *args: calls.append(args[:2]) or source(*args))
+        rows = [(1, 0), (-1, 2), (1, 0), (-1, 2)]
+        cols = [(-1, 1), (1, 1), (-1, 1), (1, 2), (1, 1)]  # repeats, but no point of the rows
+        entries = kernels._kernel_values(rows, cols, gp03)
+        assert sorted(calls) == [(-1, 1.0), (-1, 2.0), (1, 0.0), (1, 1.0), (1, 2.0)]
+        for (sx, k), row in zip(rows, entries):
+            for (sy, l), value in zip(cols, row):
+                assert value == hyper_kernel(point(sx, k), point(sy, l), gp03)
+
     @pytest.mark.parametrize("xi", [0.3, 0.9])
     @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
     def test_blocks_match_point_route_off_diagonal(self, family, xi):

@@ -461,6 +461,16 @@ class TestWhittakerW:
                         ref = float(mpmath.re(mpmath.whitw(kappa + j, mpmath.mpc(mu), x)))
                     assert abs(run[i, j] - ref) <= 1e-13 * abs(ref), (kappa + j, x)
 
+    @pytest.mark.parametrize("mu", [1.0 / 12.0, 4j, 8j])
+    def test_mpmath_fallback_at_large_x(self, mu):
+        # whitw takes the e^x cancellation of its connection terms itself
+        for kappa in (-0.8, -0.2, 1.3):
+            for x in (20.0, 60.0, 200.0):
+                with mpmath.workdps(60):
+                    ref = mpmath.whitw(kappa, mpmath.mpc(mu), x)
+                value = specfun._whittaker_w_mp(kappa, complex(mu), x)
+                assert abs(value - complex(ref)) <= 1e-20 * abs(complex(ref)), (kappa, x)
+
     @pytest.mark.parametrize("z", [0.3 + 4j, 0.3 + 8j])
     def test_cancelling_values_fall_back_to_mpmath(self, z, monkeypatch):
         original, calls = specfun._whittaker_w_mp, []

@@ -35,7 +35,7 @@ from zmeasure.verification import (
     run_suite,
     scaling_limit_check,
 )
-from zmeasure.kernels import POINT_CACHE_SIZE, decay_certificate, hyper_kernel, kernel_block_matrix, pq
+from zmeasure.kernels import decay_certificate, hyper_kernel, kernel_block_matrix
 
 
 class TestOracle:
@@ -115,33 +115,6 @@ class TestDiagramArrays:
     def test_inadmissible_parameters_raise(self):
         with pytest.raises(AdmissibilityError):
             _weighted_configurations(GrandParams(ZParams.meixner(3, 0.5), 0.2), 10)
-
-
-class TestPointCaches:
-    CACHES = (kernels._hg_cached, kernels._log_psi_cached)
-
-    def test_bounded_over_fresh_parameter_sets(self):
-        # 8 entries per parameter set, as an oracle op leaves: 4800 in all
-        for cache in self.CACHES:
-            cache.cache_clear()
-        for z in np.linspace(0.2, 0.8, 600):
-            gp = GrandParams(ZParams(z, 0.5), 0.1)
-            for sign in (1, -1):
-                for u in range(4):
-                    pq(sign, u, gp)
-        for cache in self.CACHES:
-            assert cache.cache_info().maxsize == POINT_CACHE_SIZE
-            assert cache.cache_info().currsize == POINT_CACHE_SIZE
-
-    def test_run_suite_all_evicts_nothing(self):
-        # every miss is still held, so hits and misses are those of an unbounded cache
-        for cache in self.CACHES:
-            cache.cache_clear()
-        assert all(report.passed for report in run_suite("all"))
-        for cache in self.CACHES:
-            info = cache.cache_info()
-            assert info.hits > 0
-            assert info.currsize == info.misses <= POINT_CACHE_SIZE
 
 
 POOL = sorted(
@@ -265,6 +238,19 @@ class TestCorrelationDet:
         monkeypatch.setattr(kernels, "_diag_sums", lambda *args: calls.append(1) or diag_sums(*args))
         assert oracle_check(real_pair, 0.25).passed
         assert len(calls) == 2
+
+    def test_same_point_requests_read_the_table(self, monkeypatch):
+        # the pool kernel and a minor's kernel hold each point on both sides, so
+        # every value comes from the function table their diagonals sum over
+        def refuse(*args):
+            raise AssertionError(f"the point source was called at {args[:2]}")
+
+        monkeypatch.setattr(kernels, "_point", refuse)
+        assert oracle_check(ZParams(0.5, 1.0 / 3.0), 0.2).passed
+        X = Configuration.from_points(["3/2", "1/2", "-5/2"])
+        gp = GrandParams(ZParams(0.5, 1.0 / 3.0), 0.2)
+        oracle, _ = correlation_oracle(X, gp, n_max=26)
+        assert correlation_det(X, gp) == pytest.approx(oracle, rel=1e-6)
 
     def test_triple_against_oracle(self, gp02):
         X = Configuration.from_points(["1/2", "3/2", "-1/2"])
