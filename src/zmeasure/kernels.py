@@ -367,7 +367,7 @@ def l_matrix(gp: GrandParams, trunc: int) -> np.ndarray:
 # The hypergeometric kernel
 
 
-DIAG_CHUNK = 256  # most rows of ks per weight matrix in _diag_sums
+DIAG_BUDGET = 1 << 18  # most entries per weight matrix in _diag_sums
 
 
 def _diag_sums(ks: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -375,13 +375,14 @@ def _diag_sums(ks: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     Each row is a sum of its own, so an entry does not depend on which other
     indices are asked for (a matrix product's does, through the BLAS tiling).
-    The weights are formed at most DIAG_CHUNK rows, and at most as many
-    entries as DIAG_CHUNK rows of the 46040-row table at xi = 0.999, at a
-    time, so memory stays bounded however many indices are asked for.
+    The weights are formed a chunk of rows at a time, each of at most
+    DIAG_BUDGET entries (2 MB) or one row, so memory stays bounded however
+    many indices are asked for and however long the columns are; a block of
+    100 rows over a table of 2600 rows or fewer is one chunk.
     """
     j = np.arange(len(r))
     out = np.empty((len(ks), 2))
-    rows = min(DIAG_CHUNK, max(1, DIAG_CHUNK * 46040 // len(r)))
+    rows = max(1, DIAG_BUDGET // len(r))
     for start in range(0, len(ks), rows):
         weights = 1.0 / (ks[start:start + rows, None] + j[None, :] + 1.0) ** 2
         out[start:start + rows, 0] = (weights * r).sum(axis=1)

@@ -262,6 +262,39 @@ def _weighted_configurations(gp: GrandParams, n_max: int) -> np.ndarray:
     return weights
 
 
+def _certified_tail(gp: GrandParams, n_max: int, tail_tol: float) -> float:
+    """The mixing-weight tail beyond n_max, refused with TailBudgetError above ``tail_tol``."""
+    tail = negative_binomial_tail_bound(gp.t, gp.xi, n_max)
+    if tail > tail_tol:
+        raise TailBudgetError(f"certified tail {tail} exceeds budget {tail_tol}")
+    return tail
+
+
+def _containment(pool: list[tuple[int, int]], gp: GrandParams, n_max: int) -> np.ndarray:
+    """P(X in the configuration) for every subset X of ``pool``, (sign, index) points, in one pass.
+
+    Entry ``sum(1 << i for i in X)`` holds the subset of the points at
+    positions i.  Each diagram of at most n_max boxes gets a signature, bit i
+    set when it holds pool point i, read off the masks of
+    ``_diagram_arrays(n_max)``; one weighted ``bincount`` gives the mass of
+    every signature, and a superset sum, one in-place step per bit, adds to
+    each subset the mass of every signature that contains it.  A point of
+    index n_max or more lies in no diagram of the truncation, so its bit is
+    never set and every subset holding it has value 0.
+    """
+    arrays = _diagram_arrays(n_max)
+    signature = np.zeros(len(arrays.n), dtype=np.uint64)
+    for bit, (sign, k) in enumerate(pool):
+        if k < n_max:
+            masks = arrays.pos_masks if sign > 0 else arrays.neg_masks
+            signature |= ((masks >> np.uint64(k)) & np.uint64(1)) << np.uint64(bit)
+    mass = np.bincount(signature.astype(np.intp), _weighted_configurations(gp, n_max), 1 << len(pool))
+    for bit in range(len(pool)):
+        halves = mass.reshape(-1, 2, 1 << bit)  # axis 1 is the bit
+        halves[:, 0] += halves[:, 1]
+    return mass
+
+
 def correlation_oracle(
     X: Configuration, gp: GrandParams, n_max: int = 26, tail_tol: float = 1e-15
 ) -> tuple[float, float]:
@@ -272,25 +305,20 @@ def correlation_oracle(
     The tail bounds the absolute weight beyond n_max, not the relative error
     of the value: a small containment probability can move by far more than
     the tail, relatively (up to 7e-9 at xi = 0.2 between n_max = 26 and 34).
-    Refuses to report when the tail bound exceeds ``tail_tol``.  Containment
-    is one vectorised test of X's two bitmasks against the masks of the
-    parameter-independent ``_diagram_arrays(n_max)``, and the weights come
-    from one array pass over the same arrays (``_weighted_configurations``),
-    cached for the last parameter set; no diagram is visited in Python.
-    A point of X with index n_max or more lies in no diagram of the
-    truncation, so X then has value 0.
+    Refuses to report when the tail bound exceeds ``tail_tol``, before any
+    work.  The value is the full-set entry of :func:`_containment` with X's
+    own points as the pool; the weights come from one array pass
+    (``_weighted_configurations``), cached for the last parameter set, and no
+    diagram is visited in Python.  A point of X with index n_max or more, or
+    more points on one half than a diagram of the truncation has Frobenius
+    pairs (isqrt(n_max)), lies in no diagram, so X then has value 0.
     """
-    tail = negative_binomial_tail_bound(gp.t, gp.xi, n_max)
-    if tail > tail_tol:
-        raise TailBudgetError(f"certified tail {tail} exceeds budget {tail_tol}")
+    tail = _certified_tail(gp, n_max, tail_tol)
     pos, neg = X.positive_indices, X.negative_indices
-    if any(k >= n_max for k in pos + neg):
+    if max(len(pos), len(neg)) > math.isqrt(n_max):  # also keeps the 2^|X| masses small
         return 0.0, tail
-    xp = np.uint64(sum(1 << k for k in pos))
-    xn = np.uint64(sum(1 << k for k in neg))
-    arrays = _diagram_arrays(n_max)
-    contains = ((arrays.pos_masks & xp) == xp) & ((arrays.neg_masks & xn) == xn)
-    return float(_weighted_configurations(gp, n_max)[contains].sum()), tail
+    points = [(1, k) for k in pos] + [(-1, k) for k in neg]
+    return float(_containment(points, gp, n_max)[-1]), tail
 
 
 def correlation_det(X: Configuration, gp: GrandParams) -> float:
@@ -312,27 +340,38 @@ def _minors(points: list[tuple[int, int]], subsets, gp: GrandParams) -> list[flo
     the QR factorisation of the transpose of its rows of U M.  The Gram
     matrix is never formed: at small xi these minors are nearly singular,
     and the determinant of their entries loses up to 1e-6 of its value,
-    where this form keeps about 1e-13.
+    where this form keeps about 1e-13.  The subsets are grouped by size and
+    route, and each group takes one stacked ``det`` or one batched ``qr``:
+    numpy factors each matrix of a stack on its own, so a minor does not
+    depend on the others asked for.
     """
     kernel = cache(lambda: _kernel_values(points, points, gp))
 
     @cache
-    def gram(sign: int) -> dict[int, np.ndarray]:  # the rows of U M, by position in ``points``
+    def gram(sign: int) -> np.ndarray:  # the rows of U M at the positions of ``points`` on this half
         on = [i for i, (s, _k) in enumerate(points) if s == sign]
         n = max(decay_certificate(gp), max(points[i][1] for i in on) + 1)
         a = l_matrix(gp, n)[:n, n:]
         u = _kernel_values([points[i] for i in on], _half_line(-sign, n), gp, function_table(gp, n))
         m = np.linalg.cholesky(np.eye(n) + (a.T @ a if sign > 0 else a @ a.T))
-        return dict(zip(on, u @ m))
+        rows = np.zeros((len(points), n))
+        rows[on] = u @ m
+        return rows
 
-    def minor(sub: tuple[int, ...]) -> float:
+    groups: dict[tuple[int, int], list[int]] = {}  # (size, half of a Gram minor or 0): subset positions
+    for pos, sub in enumerate(subsets):
         halves = {points[i][0] for i in sub}
-        if len(sub) < 2 or len(halves) > 1:
-            return np.linalg.det(kernel()[np.ix_(sub, sub)])
-        rows = gram(halves.pop())
-        return np.prod(np.diag(np.linalg.qr(np.array([rows[i] for i in sub]).T, mode="r"))) ** 2
-
-    return [float(minor(sub)) for sub in subsets]
+        half = halves.pop() if len(sub) >= 2 and len(halves) == 1 else 0
+        groups.setdefault((len(sub), half), []).append(pos)
+    out = np.empty(len(subsets))
+    for (size, half), at in groups.items():
+        idx = np.array([subsets[pos] for pos in at], dtype=np.intp).reshape(len(at), size)
+        if half == 0:
+            out[at] = np.linalg.det(kernel()[idx[:, :, None], idx[:, None, :]])
+        else:
+            r = np.linalg.qr(gram(half)[idx].transpose(0, 2, 1), mode="r")
+            out[at] = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +560,27 @@ def oracle_check(
     """Kernel minors against the brute-force containment probabilities.
 
     Runs over every configuration drawn from the eight points +-1/2 .. +-7/2
-    with at most ``max_size`` points; every minor comes from one kernel on
-    the eight points and one Gram factor per half (:func:`_minors`).
+    with at most ``max_size`` points (0..8, else ValueError).  Every minor
+    comes from one kernel on the eight points and one Gram factor per half,
+    with one stacked determinant or QR per size and route (:func:`_minors`);
+    every containment probability comes from one pass over the diagrams of
+    at most n_max boxes for all 256 subsets of the pool (:func:`_containment`).
+    A tail above ``tail_tol`` is refused with TailBudgetError before any work.
     """
     gp = GrandParams(zp or DEFAULT_REAL_PAIR, xi)
     pool = [(1, k) for k in range(3, -1, -1)] + [(-1, k) for k in range(4)]  # 7/2 down to -7/2
+    names = Configuration((3, 2, 1, 0), (3, 2, 1, 0)).to_json()  # the same points, in the same order
+    if not 0 <= max_size <= len(pool):
+        raise ValueError(f"max_size must be in 0..{len(pool)}, got {max_size}")
+    _certified_tail(gp, n_max, tail_tol)
     subsets = [sub for size in range(max_size + 1) for sub in combinations(range(len(pool)), size)]
 
     def build() -> list[CheckCase]:
+        contained = _containment(pool, gp, n_max)
         cases = []
         for sub, det in zip(subsets, _minors(pool, subsets, gp)):
-            X = Configuration.from_indices(*([pool[i][1] for i in sub if pool[i][0] == s] for s in (1, -1)))
-            oracle, _tail = correlation_oracle(X, gp, n_max, tail_tol)
-            cases.append(_case("contains {" + ", ".join(X.to_json()) + "}", det, oracle, rel_tol, "rel"))
+            label = "contains {" + ", ".join(names[i] for i in sub) + "}"
+            cases.append(_case(label, det, contained[sum(1 << i for i in sub)], rel_tol, "rel"))
         return cases
 
     return _timed("oracle", rel_tol, build)

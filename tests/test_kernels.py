@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 import zmeasure.kernels as kernels
 from zmeasure.kernels import (
     BLOCKS,
-    DIAG_CHUNK,
+    DIAG_BUDGET,
     FunctionTable,
     decay_certificate,
     function_table,
@@ -273,13 +274,29 @@ class TestFunctionTable:
         assert np.allclose(block[:12, :12], small, rtol=1e-12, atol=1e-16)
 
     def test_block_diagonal_across_chunk_boundary(self, real_pair):
-        gp = GrandParams(real_pair, 0.9)
-        trunc = DIAG_CHUNK + 8
+        gp = GrandParams(real_pair, 0.98)
+        rows = DIAG_BUDGET // function_table(gp).size  # rows per chunk of the diagonal series
+        trunc = rows + 8
         assert function_table(gp).size >= trunc  # the block and the series share one table
         diag = np.diag(kernel_block_matrix(gp, "++", trunc).entries)
-        for k in (0, DIAG_CHUNK - 2, DIAG_CHUNK - 1, DIAG_CHUNK, DIAG_CHUNK + 1, trunc - 1):
+        for k in (0, rows - 2, rows - 1, rows, rows + 1, trunc - 1):
             ref = hyper_kernel(point(1, k), point(1, k), gp)
             assert abs(diag[k] - ref) <= 1e-12 * abs(ref), k
+
+    def test_diagonal_series_memory_is_bounded(self):
+        # 300 indices over columns as long as the 46040-row table at xi = 0.999
+        rng = np.random.default_rng(7)
+        r, s = rng.random(46040), rng.random(46040)
+        tracemalloc.start()
+        try:
+            sums = kernels._diag_sums(np.arange(300), r, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # 5.7 MB; chunks of 256 rows (11.8M entries) peaked at 180 MB
+        for k in (0, 4, 5, 299):  # 5 rows per chunk: each sum is its row's alone
+            weights = 1.0 / (k + np.arange(46040) + 1.0) ** 2
+            assert sums[k].tolist() == [(weights * r).sum(), (weights * s).sum()]
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("trunc", [0, -1])

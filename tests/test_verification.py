@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import zmeasure.kernels as kernels
 import zmeasure.partitions as partitions
+import zmeasure.verification as verification
 from zmeasure.measures import AdmissibilityError, GrandParams, ZParams, mixed_measure
 from zmeasure.partitions import (
     Configuration,
@@ -21,7 +22,9 @@ from zmeasure.verification import (
     TailBudgetError,
     VerificationReport,
     _case,
+    _containment,
     _diagram_arrays,
+    _minors,
     _weighted_configurations,
     correlation_det,
     correlation_oracle,
@@ -35,7 +38,15 @@ from zmeasure.verification import (
     run_suite,
     scaling_limit_check,
 )
-from zmeasure.kernels import decay_certificate, hyper_kernel, kernel_block_matrix
+from zmeasure.kernels import (
+    _half_line,
+    _kernel_values,
+    decay_certificate,
+    function_table,
+    hyper_kernel,
+    kernel_block_matrix,
+    l_matrix,
+)
 
 
 class TestOracle:
@@ -187,6 +198,112 @@ class TestOnePassOracle:
             value, _ = correlation_oracle(X, gp, self.N_MAX)
             assert value > 0.0
             assert value == pytest.approx(scan_oracle(X, configurations), rel=1e-13)
+
+
+ORACLE_POOL = [(1, k) for k in range(3, -1, -1)] + [(-1, k) for k in range(4)]  # 7/2 down to -7/2
+ALL_POOL_SUBSETS = [sub for size in range(9) for sub in combinations(range(8), size)]
+ROUTE_PAIRS = {
+    "real": ZParams(0.5, 1.0 / 3.0),
+    "negative": ZParams(-0.4, -0.7),
+    "conjugate": ZParams(0.45 + 1.4j, 0.45 - 1.4j),
+}
+
+
+def mask_oracle(points: list[tuple[int, int]], gp: GrandParams, n_max: int) -> float:
+    """Containment of one set by its own mask test and masked sum over every diagram."""
+    arrays = _diagram_arrays(n_max)
+    xp = np.uint64(sum(1 << k for s, k in points if s > 0))
+    xn = np.uint64(sum(1 << k for s, k in points if s < 0))
+    contains = ((arrays.pos_masks & xp) == xp) & ((arrays.neg_masks & xn) == xn)
+    return float(_weighted_configurations(gp, n_max)[contains].sum())
+
+
+def looped_minors(points: list[tuple[int, int]], subsets, gp: GrandParams) -> list[float]:
+    """det K on each subset with one det or QR call per subset, from the same kernel and Gram rows."""
+    kernel = _kernel_values(points, points, gp)
+    rows = {}
+    for sign in (1, -1):
+        on = [i for i, (s, _k) in enumerate(points) if s == sign]
+        n = max(decay_certificate(gp), max(points[i][1] for i in on) + 1)
+        a = l_matrix(gp, n)[:n, n:]
+        u = _kernel_values([points[i] for i in on], _half_line(-sign, n), gp, function_table(gp, n))
+        m = np.linalg.cholesky(np.eye(n) + (a.T @ a if sign > 0 else a @ a.T))
+        rows.update(zip(on, u @ m))
+    out = []
+    for sub in subsets:
+        halves = {points[i][0] for i in sub}
+        if len(sub) < 2 or len(halves) > 1:
+            out.append(float(np.linalg.det(kernel[np.ix_(sub, sub)])))
+        else:
+            r = np.linalg.qr(np.array([rows[i] for i in sub]).T, mode="r")
+            out.append(float(np.prod(np.diag(r)) ** 2))
+    return out
+
+
+class TestStackedOracleRoutes:
+    """The one-pass containment and the stacked minors against one call per set."""
+
+    @pytest.mark.parametrize("xi", [0.05, 0.2])
+    @pytest.mark.parametrize("zp", ROUTE_PAIRS.values(), ids=ROUTE_PAIRS.keys())
+    def test_every_pool_subset_matches_its_mask_sum(self, zp, xi):
+        gp = GrandParams(zp, xi)
+        contained = _containment(ORACLE_POOL, gp, 26)
+        assert contained.shape == (256,)
+        for sub in ALL_POOL_SUBSETS:
+            ref = mask_oracle([ORACLE_POOL[i] for i in sub], gp, 26)
+            assert contained[sum(1 << i for i in sub)] == pytest.approx(ref, rel=1e-13, abs=0.0), sub
+
+    @pytest.mark.parametrize("zp", ROUTE_PAIRS.values(), ids=ROUTE_PAIRS.keys())
+    def test_oracle_suite_reads_the_one_pass_values(self, zp):
+        gp = GrandParams(zp, 0.1)
+        report = oracle_check(zp, 0.1, max_size=8)
+        assert len(report.cases) == 256
+        for sub, case in zip(ALL_POOL_SUBSETS, report.cases):
+            ref = mask_oracle([ORACLE_POOL[i] for i in sub], gp, 26)
+            assert case.rhs == pytest.approx(ref, rel=1e-13, abs=0.0), case.label
+
+    @pytest.mark.parametrize("xi", [0.05, 0.2])
+    @pytest.mark.parametrize("zp", ROUTE_PAIRS.values(), ids=ROUTE_PAIRS.keys())
+    def test_stacked_minors_match_one_call_per_minor(self, zp, xi):
+        gp = GrandParams(zp, xi)
+        assert _minors(ORACLE_POOL, ALL_POOL_SUBSETS, gp) == looped_minors(ORACLE_POOL, ALL_POOL_SUBSETS, gp)
+
+    def test_point_beyond_truncation_has_value_zero(self, real_pair):
+        gp = GrandParams(real_pair, 0.05)  # certified tail below 1e-15 at n_max = 12
+        pool = [(1, 0), (-1, 12), (1, 70)]  # 70 lies beyond any 64-bit mask
+        contained = _containment(pool, gp, 12)
+        assert contained[0b001] == pytest.approx(mask_oracle(pool[:1], gp, 12), rel=1e-13, abs=0.0)
+        assert (contained[[0b010, 0b011, 0b100, 0b101, 0b110, 0b111]] == 0.0).all()
+
+    def test_more_points_on_a_half_than_the_truncation_holds(self, gp02):
+        X = Configuration.from_indices([4, 3, 2, 1, 0], [])  # a diagram of at most 24 boxes has rank <= 4
+        assert correlation_oracle(X, gp02, 24) == (0.0, negative_binomial_tail_bound(gp02.t, gp02.xi, 24))
+        assert mask_oracle([(1, k) for k in range(5)], gp02, 24) == 0.0
+        X = Configuration.from_indices([3, 2, 1, 0], [])
+        assert correlation_oracle(X, gp02, 24)[0] == pytest.approx(
+            mask_oracle([(1, k) for k in range(4)], gp02, 24), rel=1e-13
+        )
+
+    def test_tail_refused_before_any_work(self, monkeypatch, real_pair):
+        def refuse(*args):
+            raise AssertionError("the diagrams were read")
+
+        monkeypatch.setattr(verification, "_diagram_arrays", refuse)
+        monkeypatch.setattr(verification, "_weighted_configurations", refuse)
+        monkeypatch.setattr(verification, "_minors", refuse)
+        gp = GrandParams(real_pair, 0.6)
+        with pytest.raises(TailBudgetError):
+            correlation_oracle(Configuration.from_indices([0], [0]), gp, n_max=8)
+        with pytest.raises(TailBudgetError):
+            oracle_check(real_pair, 0.6, n_max=8)
+
+    @pytest.mark.parametrize("max_size", [-1, 9, 12])
+    def test_oracle_suite_refuses_a_size_outside_the_pool(self, max_size):
+        with pytest.raises(ValueError, match=f"max_size must be in 0..8, got {max_size}"):
+            oracle_check(max_size=max_size)
+
+    def test_oracle_suite_at_size_zero(self):
+        assert [c.label for c in oracle_check(max_size=0).cases] == ["contains {}"]
 
 
 class TestCorrelationDet:
