@@ -5,21 +5,20 @@ measure formula positive: either z' is the complex conjugate of a non-integer
 z, or z and z' are real and lie in the same open unit interval (m, m + 1).
 Admissibility is checked once, at parameter construction.
 
-All measure values are accumulated in log space with complex logarithms and
-realized at the end, so large diagrams neither overflow nor lose positivity.
+Every measure value comes from one array route: the Frobenius product form,
+summed in real logarithms over a batch of diagrams, times a size-dependent
+factor.  Large diagrams neither overflow nor lose positivity.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .partitions import YoungDiagram, dimension, enumerate_partitions
-from .specfun import realize
+from .partitions import YoungDiagram, _FrobeniusArrays, _frobenius_arrays, dimension, enumerate_partitions
+from .specfun import realize, realize_array
 
 ADMISSIBILITY_CONDITIONS = (
     "admissible (z, z') pairs: either z' = conj(z) with z not an integer, "
@@ -135,42 +134,35 @@ class GrandParams:
         return self.zp.t
 
 
-@lru_cache(maxsize=64)
-def _param_logs(zp: ZParams) -> dict:
+def _log_pochhammer_column(sign: int, zp: ZParams, n: int) -> np.ndarray:
+    """log (1+sz)_k (1+sz')_k for k = 0..n, a running sum of real logarithms.
+
+    Each factor (1+sz+j)(1+sz'+j) is a squared modulus for a conjugate pair
+    and a product of two numbers of one sign for a real pair in one unit
+    interval, so it is real and positive for admissible pairs.
+    """
+    js = np.arange(n, dtype=np.float64)
+    factors = realize_array((1.0 + sign * zp.z + js) * (1.0 + sign * zp.z_prime + js))
+    return np.concatenate(([0.0], np.cumsum(np.log(factors))))
+
+
+def _log_product_form(arrays: _FrobeniusArrays, zp: ZParams, log_base: np.ndarray) -> np.ndarray:
+    """log_base + log t^d prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q (dim/n!)^2, per diagram of ``arrays``.
+
+    ``log_base`` holds each diagram's size-dependent factor and is added to in
+    place: one real log column per sign is gathered at one coordinate row at
+    a time, so no temporary larger than the result is made.
+    """
+    _require_admissible(zp)
     t = zp.t
-    return {"t": t, "log_t": math.log(t), "lg_t": math.lgamma(t)}
-
-
-@lru_cache(maxsize=8)  # callers walk the diagrams size by size, a few parameter sets at a time
-def _pochhammer_table(zp: ZParams, n: int) -> tuple[tuple[complex, ...], ...]:
-    """Columns log (1+z)_k, log (1+z')_k, log (1-z)_k, log (1-z')_k for k <= n.
-
-    Each column is the running sum of the principal logs of the factors a + j
-    of (a)_k, equal to lg(a + k) - lg(a) up to multiples of 2 pi i.
-    """
-    ks = np.arange(n, dtype=np.float64)
-    columns = []
-    for a in (1 + zp.z, 1 + zp.z_prime, 1 - zp.z, 1 - zp.z_prime):
-        columns.append((0.0j, *np.cumsum(np.log(a + ks)).tolist()))
-    return tuple(columns)
-
-
-def _log_pochhammer_products(diagram: YoungDiagram, zp: ZParams) -> complex:
-    """Complex log of prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q over the Frobenius coordinates.
-
-    Reads every factor from the parameter set's table for the diagram's size
-    (Frobenius coordinates of an n-box diagram are below n), so a diagram
-    costs no logarithm once its size has a table.
-    """
-    pz, pzp, mz, mzp = _pochhammer_table(zp, diagram.n)
-    p, q = diagram.frobenius
-    total = 0.0 + 0.0j
-    for pi, qi in zip(p, q):
-        total += pz[pi]
-        total += pzp[pi]
-        total += mz[qi]
-        total += mzp[qi]
-    return total
+    log_base += arrays.d * math.log(t)
+    log_base += arrays.log_dim_sq
+    n_max = int(arrays.n.max(initial=0.0))
+    for sign, coords in ((1, arrays.p), (-1, arrays.q)):
+        column = _log_pochhammer_column(sign, zp, n_max)
+        for slot in coords:
+            log_base += column[slot]
+    return log_base
 
 
 def _require_admissible(zp: ZParams) -> None:
@@ -178,30 +170,25 @@ def _require_admissible(zp: ZParams) -> None:
         raise AdmissibilityError("meixner-mode parameters are not admissible for measures")
 
 
+def _z_measures(arrays: _FrobeniusArrays, zp: ZParams) -> np.ndarray:
+    """z-measure probabilities of the diagrams of ``arrays``: the product form times n!/(t)_n."""
+    t = zp.t
+    lg_t = math.lgamma(t)
+    sizes = range(int(arrays.n.max(initial=0.0)) + 1)
+    by_size = np.array([math.lgamma(m + 1.0) - (math.lgamma(t + m) - lg_t) for m in sizes])
+    log_m = _log_product_form(arrays, zp, by_size[arrays.n.astype(np.intp)])
+    return np.exp(log_m, out=log_m)
+
+
 def z_measure_n(diagram: YoungDiagram, zp: ZParams) -> float:
     """Probability of the diagram under the n-box z-measure, n = |diagram|.
 
     Equals t^d/(t)_n * prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q * dim^2/n!
     (the Frobenius product form with the squared-dimension factor),
-    accumulated in log space and exponentiated.
+    accumulated in log space and exponentiated.  A value below the smallest
+    float is 0.0.
     """
-    _require_admissible(zp)
-    n = diagram.n
-    if n == 0:
-        return 1.0
-    logs = _param_logs(zp)
-    t = logs["t"]
-    log_m = (
-        diagram.d * logs["log_t"]
-        - (math.lgamma(t + n) - logs["lg_t"])
-        + _log_pochhammer_products(diagram, zp)
-        + 2.0 * math.log(dimension(diagram))
-        - math.lgamma(n + 1.0)
-    )
-    value = realize(cmath.exp(log_m))
-    if value <= 0.0:
-        raise AdmissibilityError(f"measure value {value} not positive for {diagram.parts}")
-    return value
+    return float(_z_measures(_frobenius_arrays([diagram]), zp)[0])
 
 
 def neg_binomial_weight(n: int, t: float, xi: float) -> float:
@@ -221,14 +208,19 @@ def neg_binomial_weight(n: int, t: float, xi: float) -> float:
     return math.exp(lg)
 
 
+def _grand_weights(arrays: _FrobeniusArrays, gp: GrandParams) -> np.ndarray:
+    """Grand-ensemble weights of the diagrams of ``arrays``: the product form
+    times (1-xi)^t xi^n, the z-measure's (t)_n cancelling against the mixing weight's."""
+    log_w = _log_product_form(arrays, gp.zp, gp.t * math.log1p(-gp.xi) + arrays.n * math.log(gp.xi))
+    return np.exp(log_w, out=log_w)
+
+
 def mixed_measure(diagram: YoungDiagram, gp: GrandParams) -> float:
     """Grand-ensemble probability of a diagram: z_measure_n times the negative-binomial weight.
 
-    The normalization suite checks it against the single product formula.
+    The normalization suite checks its route against the single product formula.
     """
-    _require_admissible(gp.zp)
-    t = _param_logs(gp.zp)["t"]
-    return z_measure_n(diagram, gp.zp) * neg_binomial_weight(diagram.n, t, gp.xi)
+    return float(_grand_weights(_frobenius_arrays([diagram]), gp)[0])
 
 
 def plancherel_measure(diagram: YoungDiagram) -> float:
@@ -241,4 +233,5 @@ def plancherel_measure(diagram: YoungDiagram) -> float:
 
 def z_measure_table(n: int, zp: ZParams) -> list[tuple[YoungDiagram, float]]:
     """All diagrams of n boxes with their z-measure probabilities, enumeration order."""
-    return [(lam, z_measure_n(lam, zp)) for lam in enumerate_partitions(n)]
+    diagrams = enumerate_partitions(n)
+    return list(zip(diagrams, _z_measures(_frobenius_arrays(diagrams), zp).tolist()))

@@ -19,7 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .specfun import DomainError
 
@@ -168,6 +170,38 @@ def dimension(diagram: YoungDiagram) -> int:
         (part - j) + (conj[j] - i) - 1 for i, part in enumerate(diagram.parts) for j in range(part)
     )
     return math.factorial(diagram.n) // hooks
+
+
+class _FrobeniusArrays(NamedTuple):
+    """Diagrams, one per column, as arrays."""
+
+    p: np.ndarray  # (max rank, diagrams): row i holds each diagram's p_i, 0 past its rank
+    q: np.ndarray  # the same for the q_i
+    n: np.ndarray  # float64, the number of boxes
+    d: np.ndarray  # float64, the Durfee rank, the number of Frobenius pairs
+    log_dim_sq: np.ndarray  # log (dim / n!)^2
+
+
+def _frobenius_arrays(diagrams: Iterable[YoungDiagram]) -> _FrobeniusArrays:
+    """The diagrams' Frobenius coordinates, sizes, ranks and log (dim/n!)^2, in the given order.
+
+    The coordinate rows are padded with 0, whose Pochhammer factor (a)_0 = 1
+    adds nothing.  They are int16 when every coordinate fits (an n-box
+    diagram's are below n), else intp.  The diagrams are read once, in order.
+    """
+    coords, sizes, log_dim_sq = [], [], []
+    for lam in diagrams:
+        coords.append(lam.frobenius)
+        sizes.append(lam.n)
+        log_dim_sq.append(2.0 * (math.log(dimension(lam)) - math.lgamma(lam.n + 1.0)))
+    ranks = [len(pi) for pi, _qi in coords]
+    dtype = np.int16 if max(sizes, default=0) <= 1 << 15 else np.intp
+    p = np.zeros((max(ranks, default=0), len(coords)), dtype=dtype)
+    q = np.zeros_like(p)
+    for col, (pi, qi) in enumerate(coords):
+        p[: len(pi), col] = pi
+        q[: len(qi), col] = qi
+    return _FrobeniusArrays(p, q, np.array(sizes, float), np.array(ranks, float), np.array(log_dim_sq))
 
 
 def half_integer_index(x) -> tuple[int, int]:

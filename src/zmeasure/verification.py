@@ -15,7 +15,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import mpmath
@@ -42,14 +42,20 @@ from .kernels import (
 from .measures import (
     GrandParams,
     ZParams,
-    _log_pochhammer_products,
-    _require_admissible,
-    mixed_measure,
+    _grand_weights,
     neg_binomial_weight,
     plancherel_measure,
     z_measure_n,
+    z_measure_table,
 )
-from .partitions import Configuration, YoungDiagram, dimension, enumerate_partitions, partition_count
+from .partitions import (
+    Configuration,
+    YoungDiagram,
+    _FrobeniusArrays,
+    _frobenius_arrays,
+    dimension,
+    enumerate_partitions,
+)
 from .specfun import (
     SERIES_TOL,
     PoleError,
@@ -172,13 +178,9 @@ def negative_binomial_tail_bound(t: float, xi: float, n_max: int) -> float:
 class _DiagramArrays(NamedTuple):
     """Every diagram of at most n_max boxes, in enumeration order, as arrays."""
 
+    frobenius: _FrobeniusArrays  # int16 coordinate rows, sizes, ranks, log (dim/n!)^2
     pos_masks: np.ndarray  # uint64, bit p_i set for each Frobenius coordinate p_i
     neg_masks: np.ndarray  # uint64, bit q_i set for each q_i
-    p: np.ndarray  # int16 (max rank, diagrams): row i holds each diagram's p_i, 0 past its rank
-    q: np.ndarray  # int16, the same for the q_i
-    n: np.ndarray  # number of boxes
-    d: np.ndarray  # Durfee rank, the number of Frobenius pairs
-    log_dim_sq: np.ndarray  # log (dim / n!)^2
 
 
 @lru_cache(maxsize=8)
@@ -188,76 +190,32 @@ def _diagram_arrays(n_max: int) -> _DiagramArrays:
     The diagram's configuration {p_i + 1/2} u {-q_i - 1/2} contains X
     exactly when both masks contain X's.  Coordinates of an n-box diagram are
     below n, and ``enumerate_partitions`` refuses every n above 60, so the
-    masks fit in 64 bits and the coordinates in int16.  The coordinate rows
-    are padded with 0, whose Pochhammer factor (a)_0 = 1 adds nothing.
+    masks fit in 64 bits and the coordinates in int16.  The diagrams are made
+    size by size as they are read: a diagram made after earlier ones cached
+    their Frobenius coordinates gets a smaller attribute dict (2.4 MB less at
+    n_max = 26).
     """
-    count = sum(partition_count(n) for n in range(n_max + 1))
-    rank = math.isqrt(n_max)  # a diagram of rank d holds the d x d square
-    p = np.zeros((rank, count), dtype=np.int16)
-    q = np.zeros((rank, count), dtype=np.int16)
-    pos, neg, sizes, ranks, log_dim_sq = [], [], [], [], []
-    # Size by size: a diagram made after earlier ones cached their Frobenius
-    # coordinates gets a smaller attribute dict (2.4 MB less at n_max = 26).
-    for n in range(n_max + 1):
-        for lam in enumerate_partitions(n):
-            pi, qi = lam.frobenius
-            row = len(pos)
-            p[: len(pi), row] = pi
-            q[: len(qi), row] = qi
-            pos.append(sum(1 << k for k in pi))
-            neg.append(sum(1 << k for k in qi))
-            sizes.append(n)
-            ranks.append(len(pi))
-            log_dim_sq.append(2.0 * (math.log(dimension(lam)) - math.lgamma(n + 1.0)))
-    arrays = _DiagramArrays(
-        np.array(pos, dtype=np.uint64),
-        np.array(neg, dtype=np.uint64),
-        p,
-        q,
-        np.array(sizes, dtype=np.float64),
-        np.array(ranks, dtype=np.float64),
-        np.array(log_dim_sq),
-    )
-    for column in arrays:
+    frobenius = _frobenius_arrays(chain.from_iterable(map(enumerate_partitions, range(n_max + 1))))
+    padding = np.arange(len(frobenius.p))[:, None] >= frobenius.d
+
+    def masks(coords: np.ndarray) -> np.ndarray:
+        bits = np.left_shift(np.uint64(1), coords.astype(np.uint64))
+        bits[padding] = 0
+        return np.bitwise_or.reduce(bits, axis=0)
+
+    arrays = _DiagramArrays(frobenius, masks(frobenius.p), masks(frobenius.q))
+    for column in (*frobenius, arrays.pos_masks, arrays.neg_masks):
         column.flags.writeable = False  # one cached copy serves every caller
     return arrays
-
-
-def _log_pochhammer_column(sign: int, zp: ZParams, n: int) -> np.ndarray:
-    """log (1+sz)_k (1+sz')_k for k = 0..n, a running sum of real logarithms.
-
-    Each factor (1+sz+j)(1+sz'+j) is a squared modulus for a conjugate pair
-    and a product of two numbers of one sign for a real pair in one unit
-    interval, so it is real and positive for the admissible pairs that
-    ``_weighted_configurations`` accepts.
-    """
-    js = np.arange(n, dtype=np.float64)
-    factors = realize_array((1.0 + sign * zp.z + js) * (1.0 + sign * zp.z_prime + js))
-    return np.concatenate(([0.0], np.cumsum(np.log(factors))))
 
 
 @lru_cache(maxsize=1)  # each oracle op uses a fresh gp, so older entries are never reused
 def _weighted_configurations(gp: GrandParams, n_max: int) -> np.ndarray:
     """Grand-ensemble weights of every diagram of at most n_max boxes, in the
-    order of ``_diagram_arrays(n_max)``, in one vectorised pass.
-
-    The weight is ``mixed_measure(lam, gp)`` in the product form
-    (1-xi)^t xi^n t^d prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q (dim/n!)^2:
-    the z-measure's (t)_n cancels against the mixing weight's.  The
-    Pochhammer products come from one real log column per sign, of length
-    n_max + 1, gathered at one coordinate row at a time and added in place,
-    so no temporary larger than one weight array is made.
+    order of ``_diagram_arrays(n_max)``: ``mixed_measure`` of each, from one
+    array pass of its route (``measures._grand_weights``).
     """
-    _require_admissible(gp.zp)
-    arrays = _diagram_arrays(n_max)
-    t = gp.t
-    log_w = t * math.log1p(-gp.xi) + arrays.n * math.log(gp.xi) + arrays.d * math.log(t)
-    log_w += arrays.log_dim_sq
-    for sign, coords in ((1, arrays.p), (-1, arrays.q)):
-        column = _log_pochhammer_column(sign, gp.zp, n_max)
-        for slot in coords:
-            log_w += column[slot]
-    weights = np.exp(log_w, out=log_w)
+    weights = _grand_weights(_diagram_arrays(n_max).frobenius, gp)
     weights.flags.writeable = False
     return weights
 
@@ -283,7 +241,7 @@ def _containment(pool: list[tuple[int, int]], gp: GrandParams, n_max: int) -> np
     never set and every subset holding it has value 0.
     """
     arrays = _diagram_arrays(n_max)
-    signature = np.zeros(len(arrays.n), dtype=np.uint64)
+    signature = np.zeros(len(arrays.pos_masks), dtype=np.uint64)
     for bit, (sign, k) in enumerate(pool):
         if k < n_max:
             masks = arrays.pos_masks if sign > 0 else arrays.neg_masks
@@ -418,15 +376,24 @@ def _mixed_measure_direct(diagram: YoungDiagram, gp: GrandParams, det: Fraction)
     """Grand-ensemble weight from the single product formula, given ``_frobenius_det(diagram)``.
 
     (1-xi)^t xi^n t^d prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q / (p!^2 q!^2) * det^2:
-    no n-box normalization (t)_n and no hook lengths.
+    no n-box normalization (t)_n and no hook lengths.  Each Pochhammer symbol
+    is a sum of the complex logarithms of its own factors, not the paired
+    real column of ``measures``.
     """
     zp = gp.zp
+    z, z_prime, t = zp.z, zp.z_prime, zp.t
     p, q = diagram.frobenius
+    log_pochhammer = 0j  # (1+z)_p = (z+1)(z+2)...(z+p), (1-z)_q = (1-z)(2-z)...(q-z)
+    for pi, qi in zip(p, q):
+        for j in range(1, pi + 1):
+            log_pochhammer += cmath.log(z + j) + cmath.log(z_prime + j)
+        for j in range(1, qi + 1):
+            log_pochhammer += cmath.log(j - z) + cmath.log(j - z_prime)
     log_m = (
-        zp.t * math.log1p(-gp.xi)
+        t * math.log1p(-gp.xi)
         + diagram.n * math.log(gp.xi)
-        + diagram.d * math.log(zp.t)
-        + _log_pochhammer_products(diagram, zp)
+        + diagram.d * math.log(t)
+        + log_pochhammer
         - 2.0 * sum(math.lgamma(pi + 1.0) + math.lgamma(qi + 1.0) for pi, qi in zip(p, q))
         + 2.0 * math.log(det)
     )
@@ -464,20 +431,23 @@ def _pair_name(zp: ZParams) -> str:
 def _determinant_route_cases(
     n_max: int, parameter_sets: tuple[tuple[str, ZParams], ...], xi: float
 ) -> list[CheckCase]:
-    """Hook-length dimensions and factored grand-ensemble weights at ``xi``
+    """Hook-length dimensions and the oracle's grand-ensemble weights at ``xi``
     against the Frobenius-determinant routes: the worst gap over every diagram
     of at most n_max boxes, one case for the dimension and one per parameter set."""
     gps = [GrandParams(zp, xi) for _name, zp in parameter_sets]
+    weights = [_weighted_configurations(gp, n_max).tolist() for gp in gps]
     dim_gap = Fraction(0)
     weight_gaps = [0.0] * len(gps)
+    row = 0
     for n in range(n_max + 1):
         for lam in enumerate_partitions(n):
             det = _frobenius_det(lam)
             dim_gap = max(dim_gap, abs(_frobenius_dimension(lam, det) - dimension(lam)))
             for i, gp in enumerate(gps):
-                factored = mixed_measure(lam, gp)
+                factored = weights[i][row]
                 direct = _mixed_measure_direct(lam, gp, det)
                 weight_gaps[i] = max(weight_gaps[i], abs(factored - direct) / max(factored, direct))
+            row += 1
     cases = [_case(f"hook vs Frobenius-determinant dimension, n <= {n_max}", float(dim_gap), 0.0, 0.0)]
     for (name, _zp), gap in zip(parameter_sets, weight_gaps):
         cases.append(
@@ -508,10 +478,11 @@ def normalization_check(
     parameter_sets = PARAMETER_SETS if zp is None else ((_pair_name(zp), zp),)
 
     def build() -> list[CheckCase]:
+        route_cases = _determinant_route_cases(n_max, parameter_sets, xi)  # refuses a bad xi first
         cases = []
         for name, zp in parameter_sets:
             for n in range(1, n_max + 1):
-                total = sum(z_measure_n(lam, zp) for lam in enumerate_partitions(n))
+                total = sum(value for _lam, value in z_measure_table(n, zp))
                 cases.append(_case(f"sum over {n}-box diagrams, {name}", total, 1.0, tol))
         zp = DEFAULT_REAL_PAIR
         cases.append(
@@ -532,18 +503,13 @@ def normalization_check(
         )
         diffs = []
         for z in (100.5, 1000.5):
-            zp_large = ZParams(z, z)
-            diffs.append(
-                max(
-                    abs(z_measure_n(lam, zp_large) - plancherel_measure(lam))
-                    for lam in enumerate_partitions(6)
-                )
-            )
+            table = z_measure_table(6, ZParams(z, z))
+            diffs.append(max(abs(value - plancherel_measure(lam)) for lam, value in table))
         cases.append(_case("six-box Plancherel gap at z=100.5", diffs[0], 0.0, 0.05))
         cases.append(
             _case("six-box Plancherel gap shrinks at z=1000.5", diffs[1], diffs[0], 0.0, "decrease")
         )
-        cases.extend(_determinant_route_cases(n_max, parameter_sets, xi))
+        cases.extend(route_cases)
         return cases
 
     return _timed("normalization", tol, build)
@@ -1017,12 +983,13 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
         for suite in SUITE_NAMES:
             out.extend(run_suite(suite, zp, xi))
         return out
+    given_xi = DEFAULT_XI if xi is None else xi
     if name == "normalization":
-        return [normalization_check(zp=zp, xi=xi or DEFAULT_XI)]
+        return [normalization_check(zp=zp, xi=given_xi)]
     if name == "oracle":
-        reports = [oracle_check(zp or DEFAULT_REAL_PAIR, xi or DEFAULT_XI)]
+        reports = [oracle_check(zp or DEFAULT_REAL_PAIR, given_xi)]
         if zp is None:
-            reports.append(oracle_check(COMPLEX_PAIR, xi or DEFAULT_XI))
+            reports.append(oracle_check(COMPLEX_PAIR, given_xi))
         return [_merged("oracle", 1e-6, reports)]
     if name == "fredholm":
         if zp is None and xi is None:
@@ -1031,12 +998,12 @@ def run_suite(name: str, zp: ZParams | None = None, xi: float | None = None) -> 
                 fredholm_check(GrandParams(COMPLEX_PAIR, 0.5)),
             ]
             return [_merged("fredholm", 1e-10, reports)]
-        return [fredholm_check(GrandParams(zp or DEFAULT_REAL_PAIR, xi or DEFAULT_XI))]
+        return [fredholm_check(GrandParams(zp or DEFAULT_REAL_PAIR, given_xi))]
     if name == "identities":
         gps = (
-            [GrandParams(zp, xi or DEFAULT_XI)]
+            [GrandParams(zp, given_xi)]
             if zp is not None
-            else [GrandParams(DEFAULT_REAL_PAIR, xi or DEFAULT_XI), GrandParams(COMPLEX_PAIR, xi or DEFAULT_XI)]
+            else [GrandParams(DEFAULT_REAL_PAIR, given_xi), GrandParams(COMPLEX_PAIR, given_xi)]
         )
         operators = [operator_identity_check(gp) for gp in gps]  # refuses a too large certificate first
         return [_merged("identities", 1e-12, [identity_suite(gp) for gp in gps] + operators)]

@@ -135,6 +135,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: suite {argv[1]!r} cannot use a given {refused}\n"
 
+    @pytest.mark.parametrize("suite", ["normalization", "oracle", "fredholm", "identities"])
+    def test_zero_xi_refused(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--z", "0.5", "--zp", "0.3333333", "--xi", "0")
+        assert code == 2 and out == ""
+        assert "xi must lie in (0, 1), got 0.0" in err
+
     def test_half_pair_refused(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "oracle", "--z", "0.5")
         assert code == 2 and out == ""

@@ -1,17 +1,19 @@
+import mpmath
+import numpy as np
 import pytest
 
 from zmeasure.measures import (
     AdmissibilityError,
     GrandParams,
     ZParams,
-    _log_pochhammer_products,
+    _log_pochhammer_column,
     mixed_measure,
     neg_binomial_weight,
     plancherel_measure,
     z_measure_n,
     z_measure_table,
 )
-from zmeasure.partitions import EMPTY_DIAGRAM, YoungDiagram, enumerate_partitions
+from zmeasure.partitions import EMPTY_DIAGRAM, YoungDiagram, _frobenius_arrays, dimension, enumerate_partitions
 from zmeasure.specfun import loggamma
 from zmeasure.verification import _frobenius_det, _mixed_measure_direct
 
@@ -97,12 +99,54 @@ class TestZMeasure:
         table = z_measure_table(3, real_pair)
         assert [lam.parts for lam, _ in table] == [(3,), (2, 1), (1, 1, 1)]
 
+    def test_one_diagram_equals_its_table_entry(self, real_pair, negative_pair, complex_pair):
+        for zp in (real_pair, negative_pair, complex_pair):
+            for n in range(13):
+                for lam, value in z_measure_table(n, zp):
+                    assert z_measure_n(lam, zp) == value, lam
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_squares_against_mpmath(self, k, real_pair, negative_pair, complex_pair):
+        lam = YoungDiagram((k,) * k)
+        for zp in (real_pair, negative_pair, complex_pair):
+            ref = mp_z_measure(lam, zp)
+            assert abs(z_measure_n(lam, zp) - ref) <= 2e-13 * ref, zp
+        if k == 10:
+            assert mp_z_measure(lam, real_pair) == pytest.approx(1.4016514566981e-113, rel=1e-13)
+
+    def test_row_with_a_coordinate_beyond_int16(self, real_pair, complex_pair):
+        lam = YoungDiagram((2**15 + 1,))  # its arm length 2^15 needs a wider index
+        assert _frobenius_arrays([lam]).p.dtype == np.intp
+        assert _frobenius_arrays([YoungDiagram((2**15,))]).p.dtype == np.int16
+        for zp in (real_pair, complex_pair):
+            ref = mp_z_measure(lam, zp)
+            assert abs(z_measure_n(lam, zp) - ref) <= 1e-8 * ref, zp  # log terms near 3e5 cost 1e-10
+
+    def test_underflow_is_zero(self, real_pair, negative_pair, complex_pair):
+        square = YoungDiagram((20,) * 20)
+        for zp in (real_pair, negative_pair, complex_pair):
+            assert z_measure_n(square, zp) == 0.0
+            assert mixed_measure(square, GrandParams(zp, 0.2)) == 0.0
+
+
+def mp_z_measure(lam: YoungDiagram, zp: ZParams) -> float:
+    """The z-measure of one diagram from its product form in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        z, z_prime = mpmath.mpc(zp.z), mpmath.mpc(zp.z_prime)
+        t = z * z_prime
+        value = t**lam.d / mpmath.rf(t, lam.n) * mpmath.mpf(dimension(lam)) ** 2 / mpmath.factorial(lam.n)
+        for pi, qi in zip(*lam.frobenius):
+            value *= mpmath.rf(1 + z, pi) * mpmath.rf(1 + z_prime, pi)
+            value *= mpmath.rf(1 - z, qi) * mpmath.rf(1 - z_prime, qi)
+        return float(value.real)
+
 
 class TestPochhammerTable:
     @pytest.mark.parametrize("family", ["real", "negative", "conjugate"])
     def test_table_matches_scalar_loggamma(self, family, real_pair, negative_pair, complex_pair):
         zp = {"real": real_pair, "negative": negative_pair, "conjugate": complex_pair}[family]
         z, z_prime = zp.z, zp.z_prime
+        plus, minus = _log_pochhammer_column(1, zp, 20), _log_pochhammer_column(-1, zp, 20)
         for n in range(21):
             for lam in enumerate_partitions(n):
                 p, q = lam.frobenius
@@ -113,7 +157,7 @@ class TestPochhammerTable:
                     + loggamma(1 - z_prime + qi) - loggamma(1 - z_prime)
                     for pi, qi in zip(p, q)
                 )
-                table = _log_pochhammer_products(lam, zp)
+                table = sum(plus[pi] + minus[qi] for pi, qi in zip(p, q))
                 assert abs(table - reference) <= 1e-12 * max(1.0, abs(reference)), lam
 
 

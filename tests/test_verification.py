@@ -24,7 +24,9 @@ from zmeasure.verification import (
     _case,
     _containment,
     _diagram_arrays,
+    _frobenius_det,
     _minors,
+    _mixed_measure_direct,
     _weighted_configurations,
     correlation_det,
     correlation_oracle,
@@ -104,6 +106,12 @@ class TestDiagramArrays:
     def test_weights_match_mixed_measure(self, zp):
         gp = GrandParams(zp, 0.2)
         ref = np.array([mixed_measure(lam, gp) for lam in all_diagrams(20)])
+        assert np.array_equal(_weighted_configurations(gp, 20), ref)  # one route, bit for bit
+
+    @pytest.mark.parametrize("zp", WEIGHT_PAIRS.values(), ids=WEIGHT_PAIRS.keys())
+    def test_weights_match_direct_route(self, zp):
+        gp = GrandParams(zp, 0.2)
+        ref = np.array([_mixed_measure_direct(lam, gp, _frobenius_det(lam)) for lam in all_diagrams(20)])
         weights = _weighted_configurations(gp, 20)
         assert np.max(np.abs(weights - ref) / ref) <= 1e-13
 
@@ -116,7 +124,8 @@ class TestDiagramArrays:
             assert np.array_equal(masks, np.array(bit_sums, dtype=np.uint64))
 
     def test_padded_coordinates(self):
-        arrays = _diagram_arrays(12)
+        arrays = _diagram_arrays(12).frobenius
+        assert arrays.p.dtype == arrays.q.dtype == np.int16
         for row, lam in enumerate(all_diagrams(12)):
             p, q = lam.frobenius
             pad = (0,) * (arrays.p.shape[0] - lam.d)
