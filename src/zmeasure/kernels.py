@@ -16,11 +16,14 @@ Index convention, fixed once: the positive point k + 1/2 corresponds to row or
 column k of the '++' block, the negative point -(k + 1/2) to index k of the
 '--' block.
 
-Point values (:func:`psi`, :func:`rs`, :func:`pq`, :func:`_point`) sum one
-Pfaff series per hypergeometric factor.  Whole blocks come from a
-:class:`FunctionTable`, whose hypergeometric columns are series seeds plus a
-backward recurrence in the lower parameter (:func:`gauss_2f1_columns`), so a
-table costs O(size) rather than O(size / (1 - xi)).  Both routes take
+Point values (:func:`psi`, :func:`rs`, :func:`pq`, :func:`_point`) take
+each hypergeometric factor from :func:`gauss_2f1_w`: where xi >= 0.95 and
+its lower parameter c = u + 1 or u + 2 has c (1 - xi) <= 6, from two short
+series in 1 - xi when their cancellation ratio passes its gate, and
+otherwise from one Pfaff series of about 39 / (1 - xi) terms.  Whole blocks come from a :class:`FunctionTable`,
+whose hypergeometric columns are point-value seeds plus a backward
+recurrence in the lower parameter (:func:`gauss_2f1_columns`), so a table
+costs O(size) rather than O(size / (1 - xi)).  Both routes take
 sqrt(psi) as exp(log(psi) / 2) and never divide by it, so P and Q stay
 finite where psi underflows.  Every truncation stops on a certificate, not
 on a fixed count: each series on its geometric tail bound, each table and

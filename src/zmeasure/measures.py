@@ -135,34 +135,40 @@ class GrandParams:
 
 
 def _log_pochhammer_column(sign: int, zp: ZParams, n: int) -> np.ndarray:
-    """log (1+sz)_k (1+sz')_k for k = 0..n, a running sum of real logarithms.
+    """log (1+sz)_k (1+sz')_k / (k!)^2 for k = 0..n, a running sum of real logarithms.
 
     Each factor (1+sz+j)(1+sz'+j) is a squared modulus for a conjugate pair
     and a product of two numbers of one sign for a real pair in one unit
-    interval, so it is real and positive for admissible pairs.
+    interval, so it is real and positive for admissible pairs.  Over (j+1)^2
+    it tends to 1, so the column grows only like s (z + z') log k.
     """
     js = np.arange(n, dtype=np.float64)
-    factors = realize_array((1.0 + sign * zp.z + js) * (1.0 + sign * zp.z_prime + js))
+    factors = realize_array((1.0 + sign * zp.z + js) * (1.0 + sign * zp.z_prime + js)) / (js + 1.0) ** 2
     return np.concatenate(([0.0], np.cumsum(np.log(factors))))
 
 
 def _log_product_form(arrays: _FrobeniusArrays, zp: ZParams, log_base: np.ndarray) -> np.ndarray:
     """log_base + log t^d prod_i (1+z)_p (1+z')_p (1-z)_q (1-z')_q (dim/n!)^2, per diagram of ``arrays``.
 
-    ``log_base`` holds each diagram's size-dependent factor and is added to in
-    place: one real log column per sign is gathered at one coordinate row at
-    a time, so no temporary larger than the result is made.
+    (dim/n!)^2 is the squared Cauchy determinant of the arrays over
+    prod_i (p_i! q_i!)^2, and the factorials go into the Pochhammer columns
+    (:func:`_log_pochhammer_column`), whose values stay small.  Those are
+    summed first, one real log column per sign gathered at one coordinate row
+    at a time, and the large terms last, so few roundings happen at the size
+    of the result.  ``log_base`` holds each diagram's size-dependent factor.
     """
     _require_admissible(zp)
     t = zp.t
-    log_base += arrays.d * math.log(t)
-    log_base += arrays.log_dim_sq
     n_max = int(arrays.n.max(initial=0.0))
+    log_m = np.zeros_like(log_base)
     for sign, coords in ((1, arrays.p), (-1, arrays.q)):
         column = _log_pochhammer_column(sign, zp, n_max)
         for slot in coords:
-            log_base += column[slot]
-    return log_base
+            log_m += column[slot]
+    log_m += arrays.d * math.log(t)
+    log_m += arrays.log_cauchy_sq
+    log_m += log_base
+    return log_m
 
 
 def _require_admissible(zp: ZParams) -> None:
@@ -173,9 +179,8 @@ def _require_admissible(zp: ZParams) -> None:
 def _z_measures(arrays: _FrobeniusArrays, zp: ZParams) -> np.ndarray:
     """z-measure probabilities of the diagrams of ``arrays``: the product form times n!/(t)_n."""
     t = zp.t
-    lg_t = math.lgamma(t)
-    sizes = range(int(arrays.n.max(initial=0.0)) + 1)
-    by_size = np.array([math.lgamma(m + 1.0) - (math.lgamma(t + m) - lg_t) for m in sizes])
+    ms = np.arange(1.0, arrays.n.max(initial=0.0) + 1.0)
+    by_size = np.concatenate(([0.0], np.cumsum(np.log(ms / (t + ms - 1.0)))))  # log n!/(t)_n, n = 0..n_max
     log_m = _log_product_form(arrays, zp, by_size[arrays.n.astype(np.intp)])
     return np.exp(log_m, out=log_m)
 

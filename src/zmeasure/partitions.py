@@ -179,29 +179,59 @@ class _FrobeniusArrays(NamedTuple):
     q: np.ndarray  # the same for the q_i
     n: np.ndarray  # float64, the number of boxes
     d: np.ndarray  # float64, the Durfee rank, the number of Frobenius pairs
-    log_dim_sq: np.ndarray  # log (dim / n!)^2
+    log_cauchy_sq: np.ndarray  # log det[1 / (p_i + q_j + 1)]^2; (dim/n!)^2 is this over prod_i (p_i! q_i!)^2
+
+
+def _log_cauchy_det(p: np.ndarray, q: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """log det[1 / (p_i + q_j + 1)] for each column of the padded Frobenius rows.
+
+    Frobenius' formula dim/n! = det[1 / ((p_i + q_j + 1) p_i! q_j!)] is the
+    hook-length formula in Frobenius coordinates: the hook lengths multiply to
+    prod_i p_i! q_i! over this Cauchy determinant,
+    prod_(i<j) (p_i - p_j)(q_i - q_j) / prod_(i,j) (p_i + q_j + 1).  A diagram
+    of rank d takes d^2 + d (d - 1) / 2 factors, one vector operation per pair
+    (i, j) of rows; the mask gives padded rows the factor 1.  The product is
+    kept as a mantissa in [1/2, 1) and a power of 2, renormalized after every
+    factor (``np.frexp``), so nothing overflows and each factor costs one
+    rounding; its log is taken once.
+    """
+    rows = np.arange(p.shape[0])
+    valid = rows[:, None] < ranks[None, :]
+    pf, qf = p.astype(np.float64), q.astype(np.float64)
+    mant = np.ones(p.shape[1])
+    expo = np.zeros(p.shape[1], dtype=np.int64)
+    for i in rows:
+        for j in rows:
+            factor = 1.0 / np.where(valid[i] & valid[j], pf[i] + qf[j] + 1.0, 1.0)
+            if i < j:  # a valid row j implies a valid row i
+                factor *= np.where(valid[j], (pf[i] - pf[j]) * (qf[i] - qf[j]), 1.0)
+            mant, step = np.frexp(mant * factor)
+            expo += step
+    return np.log(mant) + expo * math.log(2.0)
 
 
 def _frobenius_arrays(diagrams: Iterable[YoungDiagram]) -> _FrobeniusArrays:
-    """The diagrams' Frobenius coordinates, sizes, ranks and log (dim/n!)^2, in the given order.
+    """The diagrams' Frobenius coordinates, sizes, ranks and log Cauchy determinants, in the given order.
 
     The coordinate rows are padded with 0, whose Pochhammer factor (a)_0 = 1
     adds nothing.  They are int16 when every coordinate fits (an n-box
-    diagram's are below n), else intp.  The diagrams are read once, in order.
+    diagram's are below n), else intp.  The diagrams are read once, in order;
+    the dimension factor comes from their coordinates (:func:`_log_cauchy_det`),
+    not from :func:`dimension`.
     """
-    coords, sizes, log_dim_sq = [], [], []
+    coords, sizes = [], []
     for lam in diagrams:
         coords.append(lam.frobenius)
         sizes.append(lam.n)
-        log_dim_sq.append(2.0 * (math.log(dimension(lam)) - math.lgamma(lam.n + 1.0)))
-    ranks = [len(pi) for pi, _qi in coords]
+    ranks = np.array([len(pi) for pi, _qi in coords], dtype=np.intp)
     dtype = np.int16 if max(sizes, default=0) <= 1 << 15 else np.intp
-    p = np.zeros((max(ranks, default=0), len(coords)), dtype=dtype)
+    p = np.zeros((ranks.max(initial=0), len(coords)), dtype=dtype)
     q = np.zeros_like(p)
     for col, (pi, qi) in enumerate(coords):
         p[: len(pi), col] = pi
         q[: len(qi), col] = qi
-    return _FrobeniusArrays(p, q, np.array(sizes, float), np.array(ranks, float), np.array(log_dim_sq))
+    log_cauchy_sq = 2.0 * _log_cauchy_det(p, q, ranks)
+    return _FrobeniusArrays(p, q, np.array(sizes, float), ranks.astype(float), log_cauchy_sq)
 
 
 def half_integer_index(x) -> tuple[int, int]:

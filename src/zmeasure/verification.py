@@ -178,7 +178,7 @@ def negative_binomial_tail_bound(t: float, xi: float, n_max: int) -> float:
 class _DiagramArrays(NamedTuple):
     """Every diagram of at most n_max boxes, in enumeration order, as arrays."""
 
-    frobenius: _FrobeniusArrays  # int16 coordinate rows, sizes, ranks, log (dim/n!)^2
+    frobenius: _FrobeniusArrays  # int16 coordinate rows, sizes, ranks, log Cauchy determinants
     pos_masks: np.ndarray  # uint64, bit p_i set for each Frobenius coordinate p_i
     neg_masks: np.ndarray  # uint64, bit q_i set for each q_i
 
@@ -710,7 +710,7 @@ def identity_suite(
 def _hyp_w_dc(a: complex, b: complex, c: float, xi: float) -> tuple[complex, complex]:
     """F(a, b; c; w) at w = xi/(xi - 1) and its derivative in c, from mpmath at 30 digits.
 
-    An evaluation independent of the Pfaff series of :mod:`zmeasure.specfun`.
+    An evaluation independent of the float series routes of :mod:`zmeasure.specfun`.
     """
     with mpmath.workdps(30):
         w = mpmath.mpf(xi) / (mpmath.mpf(xi) - 1)

@@ -155,6 +155,7 @@ class TestPochhammerTable:
                     + loggamma(1 + z_prime + pi) - loggamma(1 + z_prime)
                     + loggamma(1 - z + qi) - loggamma(1 - z)
                     + loggamma(1 - z_prime + qi) - loggamma(1 - z_prime)
+                    - 2.0 * (loggamma(pi + 1.0) + loggamma(qi + 1.0))  # the columns are over (k!)^2
                     for pi, qi in zip(p, q)
                 )
                 table = sum(plus[pi] + minus[qi] for pi, qi in zip(p, q))

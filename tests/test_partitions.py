@@ -132,6 +132,16 @@ class TestDimension:
             for lam in enumerate_partitions(n):
                 assert _frobenius_dimension(lam, _frobenius_det(lam)) == dimension(lam), lam
 
+    def test_arrays_cauchy_determinant_gives_dimension(self):
+        # log (dim/n!)^2 = log_cauchy_sq - 2 sum_i log(p_i! q_i!), against the exact integer dimension
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(30)])
+        for n in (1, 7, 15, 25):
+            diagrams = enumerate_partitions(n)
+            arrays = partitions._frobenius_arrays(diagrams)
+            log_dim_sq = arrays.log_cauchy_sq - 2.0 * (log_fact[arrays.p].sum(axis=0) + log_fact[arrays.q].sum(axis=0))
+            exact = [2.0 * (math.log(dimension(lam)) - math.lgamma(n + 1.0)) for lam in diagrams]
+            assert np.max(np.abs(log_dim_sq - exact)) <= 1e-12 * n
+
 
 class TestConfiguration:
     def test_empty_embedding(self):

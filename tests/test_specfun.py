@@ -306,6 +306,90 @@ class TestGauss2F1Columns:
             gauss_2f1_columns(0.5, 0.7, 1.0, 1.0, 10)
 
 
+def _mp_2f1_w(a, b, c, xi) -> complex:
+    with mpmath.workdps(40):
+        x = mpmath.mpf(xi)
+        return complex(mpmath.hyp2f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpf(c), x / (x - 1)))
+
+
+def _kernel_factors(z, z_prime, k):
+    """The two 2F1 calls of a kernel point, F(-sz, -sz'; k+1) and F(1-sz, 1-sz'; k+2), both signs."""
+    for s in (1, -1):
+        yield -s * z, -s * z_prime, k + 1.0
+        yield 1 - s * z, 1 - s * z_prime, k + 2.0
+
+
+class TestGauss2F1NearOne:
+    """Point values near xi = 1: the series in 1 - xi where its gate passes, Pfaff elsewhere."""
+
+    @pytest.mark.parametrize("xi", [0.98, 0.999, 0.9999])
+    @pytest.mark.parametrize("z", [0.3 + 8j, 0.5 + 8j])
+    def test_large_imaginary_part(self, z, xi):
+        # the Pfaff series cancels here: 1.4e-4 at 0.3+8i, xi = 0.999, u <= 5
+        for u in (0.0, 0.2, 1.0, 5.0):
+            for a, b, c in _kernel_factors(z, z.conjugate(), math.floor(u / (1.0 - xi))):
+                ref = _mp_2f1_w(a, b, c, xi)
+                assert specfun._connection_sum(a, b, c, xi) is not None, (a, c)
+                assert abs(gauss_2f1_w(a, b, c, xi) - ref) <= 1e-12 * abs(ref), (a, c)
+
+    @pytest.mark.parametrize("z, z_prime", [(0.5, 0.5), (0.5, 0.5 + 1e-9), (0.5, 0.5 + 1e-4), (-0.4, -0.4)])
+    def test_degenerate_pairs(self, z, z_prime):
+        # b - a = s (z - z') at or next to a pole of Gamma(b - a): the route declines, Pfaff serves
+        xi = 0.999
+        for u in (0.0, 0.2, 1.0, 5.0):
+            for a, b, c in _kernel_factors(z, z_prime, math.floor(u / (1.0 - xi))):
+                assert specfun._connection_sum(complex(a), complex(b), c, xi) is None
+                value = gauss_2f1_w(a, b, c, xi)
+                ref = _mp_2f1_w(a, b, c, xi)
+                assert cmath.isfinite(value)
+                assert abs(value - ref) <= 1e-12 * abs(ref), (a, b, c)
+
+    @pytest.mark.parametrize("xi", [0.95, 0.99, 0.999])
+    def test_benchmark_families(self, xi):
+        rng = np.random.default_rng(0)
+        taken = 0
+        for family in ("real", "negative", "complex"):
+            for _ in range(4):
+                if family == "complex":
+                    z = complex(rng.uniform(0.25, 0.75), rng.uniform(0.5, 2.0))
+                    z_prime = z.conjugate()
+                else:
+                    z, z_prime = rng.uniform(0.2, 0.8, 2) * (1 if family == "real" else -1)
+                for u in rng.uniform(0.2, 5.0, 3):
+                    for a, b, c in _kernel_factors(z, z_prime, math.floor(u / (1.0 - xi))):
+                        taken += specfun._connection_sum(complex(a), complex(b), c, xi) is not None
+                        ref = _mp_2f1_w(a, b, c, xi)
+                        assert abs(gauss_2f1_w(a, b, c, xi) - ref) <= 1e-12 * abs(ref), (family, a, b, c)
+        assert taken >= 72  # most of the 144 calls take the series in 1 - xi
+
+    def test_window(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specfun, "_connection_sum", lambda *args: calls.append(args))
+        gauss_2f1_w(-0.5, -1.0 / 3.0, 101.0, 0.9)  # below the xi window
+        gauss_2f1_w(-0.5, -1.0 / 3.0, 6001.0, 0.999)  # c (1 - xi) past the window
+        gauss_2f1_w(-0.5, -1.0 / 3.0, -2.5, 0.999)  # negative c
+        assert calls == []
+        gauss_2f1_w(-0.5, -1.0 / 3.0, 5001.0, 0.999)  # u = 5.001
+        assert len(calls) == 1
+
+    def test_series_start_index_bounds_the_ratio(self):
+        # past the index the term ratio x (a+m)(b+m) / ((c+m)(1+m)) stays within (1 + |x|)/2
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            a, b = (complex(*rng.normal(0.0, 3.0, 2)) for _ in range(2))
+            c = complex(rng.uniform(-10.0, 3000.0), rng.normal(0.0, 3.0))
+            x_abs = 10.0 ** rng.uniform(-5.0, -0.01)
+            m0 = specfun._series_start_index(a, abs(b - c), c, x_abs)
+            ms = m0 + np.arange(20000.0)
+            ratio = x_abs * np.abs((a + ms) * (b + ms) / ((c + ms) * (ms + 1.0)))
+            assert ratio.max() <= 0.5 * (1.0 + x_abs), (a, b, c, x_abs, m0)
+
+    def test_series_start_index_is_short_for_small_x(self):
+        # the series in 1 - xi of a kernel factor at u = 5: lower parameter a - b + 1, b' = c - b
+        a, b, c, x = -0.5, -1.0 / 3.0, 5001.0, 0.001
+        assert specfun._series_start_index(a, abs(c - b - (a - b + 1.0)), a - b + 1.0, x) <= 20
+
+
 class TestGauss2F1Derivative:
     """The mpmath c-derivative behind the operator suite's diagonal check."""
 
